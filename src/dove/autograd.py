@@ -226,18 +226,25 @@ def row(a: Tensor, i: int) -> Tensor:
     return out
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+def concat_rows(*parts: Tensor) -> Tensor:
+    """Parts stacked top to bottom; a rank-1 part of width n is one row.
+
+    One node for any number of parts: stacking n rows copies each once,
+    where chained pairwise concatenation copies O(n^2) rows.
+    """
+    blocks = [p.data[None, :] if p.data.ndim == 1 else p.data for p in parts]
+    if not blocks or any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1]
+                         for b in blocks):
         raise DimensionError(
-            f"concat_rows width mismatch: {a.data.shape} vs {b.data.shape}")
-    out = _result(np.concatenate([a.data, b.data], axis=0), (a, b))
+            f"concat_rows expects rank-1/2 parts of one width, got "
+            f"{[p.data.shape for p in parts]}")
+    out = _result(np.concatenate(blocks, axis=0), parts)
     if out.requires_grad:
-        m = a.data.shape[0]
+        ends = np.cumsum([b.shape[0] for b in blocks])
         def bw(g):
-            if a.requires_grad:
-                _acc(a, g[:m])
-            if b.requires_grad:
-                _acc(b, g[m:])
+            for p, end, block in zip(parts, ends, blocks):
+                if p.requires_grad:
+                    _acc(p, g[end - block.shape[0]:end].reshape(p.data.shape))
         out._bw = bw
     return out
 

@@ -2,8 +2,7 @@
 
 The split shuffles image indices once per (seed); the per-epoch batch
 order is a pure function of (seed, epoch).  Training batches drop a
-trailing partial batch (a ranking loss over a single pair is vacuous);
-evaluation keeps every sample.
+trailing partial batch (a ranking loss over a single pair is vacuous).
 """
 from __future__ import annotations
 
@@ -38,12 +37,8 @@ def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> Split:
     train_images = sorted(int(i) for i in order[n_val:])
     if not val_images:
         val_images = list(train_images)
-    train_set, val_set = set(train_images), set(val_images)
-    train_pairs = [k for k, rec in enumerate(ds.captions)
-                   if rec.image_index in train_set]
-    val_pairs = [k for k, rec in enumerate(ds.captions)
-                 if rec.image_index in val_set]
-    return Split(train_images, val_images, train_pairs, val_pairs)
+    return Split(train_images, val_images, ds.captions_of(train_images),
+                 ds.captions_of(val_images))
 
 
 @dataclass
@@ -53,28 +48,6 @@ class Batch:
     captions: list[list[int]]  # token ids per pair
     image_ids: list[int]
     caption_ids: list[int]
-
-
-def batch_order(n: int, seed: int, epoch: int) -> np.ndarray:
-    """Shuffled index order for an epoch; pure function of (seed, epoch)."""
-    return RngStream(derive_seed(seed, "batch", epoch)).permutation(n)
-
-
-def make_batches(pair_indices: list[int], batch_size: int, *,
-                 training: bool, seed: int = 0, epoch: int = 0) -> list[list[int]]:
-    """Chunk pair indices into batches of caption indices."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if training:
-        if batch_size < 2:
-            raise ValueError("training batches need at least 2 pairs")
-        order = batch_order(len(pair_indices), seed, epoch)
-        shuffled = [pair_indices[int(i)] for i in order]
-        n_full = len(shuffled) // batch_size
-        return [shuffled[b * batch_size:(b + 1) * batch_size]
-                for b in range(n_full)]
-    return [pair_indices[i:i + batch_size]
-            for i in range(0, len(pair_indices), batch_size)]
 
 
 def training_batches(ds: Dataset, pair_indices: list[int], batch_size: int,

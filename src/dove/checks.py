@@ -54,6 +54,8 @@ def primitive_gradcheck(seed: int = 0) -> float:
     check({"x": x}, lambda: ag.scale(x, -1.7))
     check({"x": x}, lambda: ag.add_scalar(x, 0.3))
     check({"x": x, "y": y}, lambda: ag.concat_rows(x, y))
+    v = Tensor(_rand(stream, 4), requires_grad=True)
+    check({"x": x, "v": v, "y": y}, lambda: ag.concat_rows(x, v, y))
     check({"x": x, "y": y}, lambda: ag.concat_cols(x, y))
 
     bias = Tensor(_rand(stream, 4), requires_grad=True)

@@ -8,6 +8,7 @@ matches.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, fields, replace
 
 DTGA_INPUT_MODES = ("ff", "bb", "fb", "avg")
@@ -112,12 +113,7 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
     Unknown keys are rejected -- a typo must never silently fall back to a
     default.
     """
-    types = {"d": int, "alpha": float, "lambda_g": float, "lr0": float,
-             "decay_factor": float, "decay_every": int, "epochs": int,
-             "batch_size": int, "heads": int, "seed": int,
-             "dtga_inputs": str, "no_dtga": bool, "no_ifa": bool,
-             "no_iga": bool, "ifa_head": str, "iga_head": str,
-             "val_fraction": float, "threads": int}
+    types = typing.get_type_hints(TrainConfig)
     cfg = base if base is not None else TrainConfig()
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

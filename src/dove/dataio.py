@@ -238,9 +238,11 @@ class Dataset:
     def n_captions(self) -> int:
         return len(self.captions)
 
-    def captions_of(self, image_index: int) -> list[int]:
-        return [i for i, rec in enumerate(self.captions)
-                if rec.image_index == image_index]
+    def captions_of(self, image_indices) -> list[int]:
+        """Indices, in file order, of every caption of the given images."""
+        wanted = set(image_indices)
+        return [k for k, rec in enumerate(self.captions)
+                if rec.image_index in wanted]
 
 
 def load_dataset(directory: str) -> Dataset:

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import no_grad
-from .batching import Batch
 from .config import TrainConfig, config_hash
 from .dataio import Dataset
 from .model import CaptionCode, ImageCode, Model
@@ -30,7 +29,7 @@ class DegenerateEmbeddingError(ValueError):
     """An embedding that must be compared by cosine has near-zero norm."""
 
 
-def _normalized(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
+def _unit_rows(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
     norms = np.sqrt((rows * rows).sum(axis=1))
     bad = norms < 1e-12
     if bad.any():
@@ -42,24 +41,36 @@ def _normalized(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
 
 def encode_images(model: Model, ds: Dataset,
                   image_indices: list[int]) -> list[ImageCode]:
+    """Image codes; one whose V_M or V_MR cannot be scored raises."""
     with no_grad():
-        return [model.encode_image(ds.msv[i], ds.roi[i]) for i in image_indices]
+        codes = [model.encode_image(ds.msv[i], ds.roi[i]) for i in image_indices]
+    if codes:
+        for attr in ("v_m", "v_mr"):
+            _unit_rows(np.stack([getattr(c, attr).data for c in codes]),
+                       "image", image_indices)
+    return codes
 
 
 def encode_captions(model: Model, ds: Dataset, caption_indices: list[int],
                     threads: int = 1) -> list[CaptionCode]:
-    if threads <= 1 or len(caption_indices) < 2:
-        with no_grad():
-            return [model.encode_caption(ds.captions[k].token_ids)
-                    for k in caption_indices]
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Caption codes; one whose T_G cannot be scored raises."""
     def work(k):
-        with no_grad():
-            return model.encode_caption(ds.captions[k].token_ids)
+        return model.encode_caption(ds.captions[k].token_ids)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, caption_indices))
+    # no_grad flips a process-wide flag, so only this thread may enter it:
+    # worker threads entering and leaving it concurrently can restore the
+    # flag in the wrong order and leave gradients off for the process
+    with no_grad():
+        if threads <= 1 or len(caption_indices) < 2:
+            codes = [work(k) for k in caption_indices]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                codes = list(pool.map(work, caption_indices))
+    if codes:
+        _unit_rows(np.stack([c.t_g.data for c in codes]), "caption",
+                   caption_indices)
+    return codes
 
 
 @dataclass
@@ -72,85 +83,76 @@ class SimilarityResult:
 
 def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
                       caption_indices: list[int], mode: str = "final",
-                      threads: int = 1) -> SimilarityResult:
+                      threads: int = 1, *, codes=None) -> SimilarityResult:
     """Pairwise cosine grid between images and captions.
 
     mode "global" scores (V_M, T_G); mode "final" scores
-    (V_MR, T_RG(i, j)) -- honoring the configured ablations.
+    (V_MR, T_RG(i, j)) -- honoring the configured ablations.  Both come
+    from ``Model.score_matrices``.  ``codes`` is (image codes, caption
+    codes) in the order of the two index lists; when omitted they are
+    encoded here.
     """
     if mode not in ("final", "global"):
         raise ValueError(f"unknown similarity mode {mode!r}")
     if not image_indices or not caption_indices:
         raise ValueError("similarity_matrix needs nonempty query sets")
-    images = encode_images(model, ds, image_indices)
-    captions = encode_captions(model, ds, caption_indices, threads)
-    t_g = np.stack([c.t_g.data for c in captions])
-    tn = _normalized(t_g, "caption", caption_indices)
-
-    if mode == "global":
-        v = np.stack([im.v_m.data for im in images])
-        scores = _normalized(v, "image", image_indices) @ tn.T
-    elif model.cfg.no_iga:
-        v = np.stack([im.v_mr.data for im in images])
-        scores = _normalized(v, "image", image_indices) @ tn.T
-    else:
+    if codes is None:
+        codes = (encode_images(model, ds, image_indices),
+                 encode_captions(model, ds, caption_indices, threads))
+    try:
         with no_grad():
-            f_g_rows = roam.iga_transform_text(ag.constant(t_g), model.reg)
-            rows = []
-            for pos, im in enumerate(images):
-                guided = model.guided_text_rows(im, f_g_rows).data
-                gn = _normalized(guided, "caption", caption_indices)
-                v = im.v_mr.data
-                norm = float(np.sqrt((v * v).sum()))
-                if norm < 1e-12:
-                    raise DegenerateEmbeddingError(
-                        f"image {image_indices[pos]} has a near-zero embedding")
-                rows.append((gn @ (v / norm)))
-            scores = np.stack(rows)
+            s_final, s_global = model.score_matrices(*codes)
+    except ag.DegenerateVectorError as exc:
+        # the encoders reject degenerate V_M, V_MR and T_G: this is T_RG
+        raise DegenerateEmbeddingError(
+            f"a guided caption embedding is degenerate: {exc}") from exc
     text_to_image = np.array([ds.captions[k].image_index
                               for k in caption_indices], dtype=np.int64)
+    scores = s_final.data if mode == "final" else s_global.data
     return SimilarityResult(scores, list(image_indices),
                             list(caption_indices), text_to_image)
 
 
 # ----------------------------------------------------------------- recalls
 
-def _ranked(scores_row: np.ndarray) -> np.ndarray:
-    # descending score, ascending candidate index on ties
-    n = scores_row.shape[0]
-    return np.lexsort((np.arange(n), -scores_row))
+def _first_hit_ranks(sim: SimilarityResult, direction: str) -> np.ndarray:
+    """0-based rank of each query's best-ranked ground truth (inf: none).
+
+    Candidates rank by descending score, ties to the lower index, so a
+    candidate is ahead of the best ground truth g when it scores higher
+    than g, or the same as g with a lower index.
+    """
+    image_ids = np.array(sim.image_ids, dtype=np.int64)
+    if direction == "i2t":
+        scores = sim.scores
+        truth = image_ids[:, None] == sim.text_to_image[None, :]
+    elif direction == "t2i":
+        scores = sim.scores.T
+        truth = sim.text_to_image[:, None] == image_ids[None, :]
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    best = np.where(truth, scores, -np.inf).max(axis=1, keepdims=True)
+    first = np.argmax(truth & (scores == best), axis=1)[:, None]
+    index = np.arange(scores.shape[1])[None, :]
+    ahead = (scores > best) | ((scores == best) & (index < first))
+    return np.where(truth.any(axis=1), ahead.sum(axis=1), np.inf)
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    return 100.0 * int((ranks < k).sum()) / ranks.shape[0]
 
 
 def recall_at_k(sim: SimilarityResult, k: int, direction: str) -> float:
     """Percentage of queries with a ground-truth hit in the top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = sim.scores
-    if direction == "i2t":
-        kk = min(k, scores.shape[1])
-        hits = 0
-        for qi in range(scores.shape[0]):
-            top = _ranked(scores[qi])[:kk]
-            gt = sim.text_to_image[top] == sim.image_ids[qi]
-            hits += bool(gt.any())
-        return 100.0 * hits / scores.shape[0]
-    if direction == "t2i":
-        kk = min(k, scores.shape[0])
-        image_ids = np.array(sim.image_ids, dtype=np.int64)
-        hits = 0
-        for qj in range(scores.shape[1]):
-            top = _ranked(scores[:, qj])[:kk]
-            hits += bool((image_ids[top] == sim.text_to_image[qj]).any())
-        return 100.0 * hits / scores.shape[1]
-    raise ValueError(f"unknown direction {direction!r}")
+    return _recall(_first_hit_ranks(sim, direction), k)
 
 
 def recall_block(sim: SimilarityResult) -> dict[str, float]:
-    block = {}
-    for k in RECALL_KS:
-        block[f"r{k}_i2t"] = recall_at_k(sim, k, "i2t")
-    for k in RECALL_KS:
-        block[f"r{k}_t2i"] = recall_at_k(sim, k, "t2i")
+    ranks = {d: _first_hit_ranks(sim, d) for d in ("i2t", "t2i")}
+    block = {f"r{k}_{d}": _recall(ranks[d], k)
+             for d in ("i2t", "t2i") for k in RECALL_KS}
     block["mr"] = mean_recall([block[f"r{k}_i2t"] for k in RECALL_KS]
                               + [block[f"r{k}_t2i"] for k in RECALL_KS])
     return block
@@ -180,53 +182,61 @@ def euclidean(a, b) -> float:
 
 def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
                         caption_indices: list[int] | None = None,
-                        threads: int = 1) -> dict:
+                        threads: int = 1, *, codes=None) -> dict:
     """Euclidean distance statistics over positive (image, caption) pairs.
 
     Distances are measured between unit-normalized embeddings -- the
     coordinates the similarity actually compares.  Raw norms are never
     trained (the cosine score is scale-free), so distances between raw
-    vectors would mostly report arbitrary per-branch scale.
+    vectors would mostly report arbitrary per-branch scale.  ``codes`` is
+    as for ``similarity_matrix``.
     """
-    image_set = set(image_indices)
     if caption_indices is None:
-        caption_indices = [k for k, rec in enumerate(ds.captions)
-                           if rec.image_index in image_set]
-    pairs = [(ds.captions[k].image_index, k) for k in caption_indices
-             if ds.captions[k].image_index in image_set]
+        caption_indices = ds.captions_of(image_indices)
+    row_of = {i: p for p, i in enumerate(image_indices)}
+    pairs = [(row_of[ds.captions[k].image_index], c)
+             for c, k in enumerate(caption_indices)
+             if ds.captions[k].image_index in row_of]
     if not pairs:
         raise ValueError("no positive pairs in the requested subset")
-    codes = {i: c for i, c in zip(image_indices,
-                                  encode_images(model, ds, image_indices))}
-    caps = {k: c for k, c in zip(caption_indices,
-                                 encode_captions(model, ds, caption_indices,
-                                                 threads))}
+    if codes is None:
+        codes = (encode_images(model, ds, image_indices),
+                 encode_captions(model, ds, caption_indices, threads))
+    images, captions = codes
+    pair_images = [images[p] for p, _ in pairs]
+    pair_captions = [captions[c] for _, c in pairs]
+    # ablated guidance falls back to T_G; otherwise every pair of one
+    # image takes its T_RG from one batched guidance call
+    t_rg = np.stack([c.t_g.data for c in pair_captions])
+    if not model.cfg.no_iga:
+        by_image: dict[int, list[int]] = {}
+        for n, (p, _) in enumerate(pairs):
+            by_image.setdefault(p, []).append(n)
+        with no_grad():
+            for p, rows in by_image.items():
+                f_g = roam.iga_transform_text(
+                    ag.concat_rows(*(pair_captions[n].t_g for n in rows)),
+                    model.reg)
+                t_rg[rows] = model.guided_text_rows(images[p], f_g).data
 
-    def unit(vec: np.ndarray, what: str) -> np.ndarray:
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            raise DegenerateEmbeddingError(f"{what} has near-zero norm")
-        return vec / norm
+    image_ids = [image_indices[p] for p, _ in pairs]
+    caption_ids = [caption_indices[c] for _, c in pairs]
 
-    samples = {key: [] for key in DISTANCE_KEYS}
-    with no_grad():
-        for img, cap in pairs:
-            im, c = codes[img], caps[cap]
-            t_rg = unit(model.pair_text_embedding(im, c).data,
-                        f"t_rg(image {img}, caption {cap})")
-            v_m = unit(im.v_m.data, f"v_m(image {img})")
-            v_r = unit(im.v_r.data, f"v_r(image {img})")
-            v_mr = unit(im.v_mr.data, f"v_mr(image {img})")
-            t_g = unit(c.t_g.data, f"t_g(caption {cap})")
-            samples["v_mr__t_rg"].append(euclidean(v_mr, t_rg))
-            samples["v_m__t_g"].append(euclidean(v_m, t_g))
-            samples["v_r__v_mr"].append(euclidean(v_r, v_mr))
-            samples["v_r__v_m"].append(euclidean(v_r, v_m))
-            samples["v_r__t_rg"].append(euclidean(v_r, t_rg))
-            samples["v_r__t_g"].append(euclidean(v_r, t_g))
+    def unit(vectors, kind, ids):
+        return _unit_rows(np.stack([v.data for v in vectors]), kind, ids)
+
+    v_m = unit([im.v_m for im in pair_images], "v_m of image", image_ids)
+    v_r = unit([im.v_r for im in pair_images], "v_r of image", image_ids)
+    v_mr = unit([im.v_mr for im in pair_images], "v_mr of image", image_ids)
+    t_g = unit([c.t_g for c in pair_captions], "t_g of caption", caption_ids)
+    t_rg = _unit_rows(t_rg, "t_rg of caption", caption_ids)
+    operands = {"v_mr__t_rg": (v_mr, t_rg), "v_m__t_g": (v_m, t_g),
+                "v_r__v_mr": (v_r, v_mr), "v_r__v_m": (v_r, v_m),
+                "v_r__t_rg": (v_r, t_rg), "v_r__t_g": (v_r, t_g)}
     stats = {}
-    for key, values in samples.items():
-        arr = np.array(values)
+    for key in DISTANCE_KEYS:
+        a, b = operands[key]
+        arr = np.linalg.norm(a - b, axis=1)
         stats[key] = {"mean": float(arr.mean()),
                       "median": float(np.median(arr)),
                       "stddev": float(arr.std()),
@@ -266,10 +276,12 @@ class RetrievalReport:
 def build_report(model: Model, ds: Dataset, image_indices: list[int],
                  split_name: str, subset_files: list[tuple[str, list[int]]] = (),
                  with_distances: bool = True, threads: int = 1) -> RetrievalReport:
-    caption_indices = [k for k, rec in enumerate(ds.captions)
-                       if rec.image_index in set(image_indices)]
+    """Recalls, subset recalls and distances from one encoding of the split."""
+    caption_indices = ds.captions_of(image_indices)
+    codes = (encode_images(model, ds, image_indices),
+             encode_captions(model, ds, caption_indices, threads))
     sim = similarity_matrix(model, ds, image_indices, caption_indices,
-                            mode="final", threads=threads)
+                            mode="final", codes=codes)
     report = RetrievalReport(
         config_hash=config_hash(model.cfg),
         seed=model.cfg.seed,
@@ -279,29 +291,42 @@ def build_report(model: Model, ds: Dataset, image_indices: list[int],
         full=recall_block(sim),
     )
     for name, subset in subset_files:
-        block = subset_eval(model, ds, image_indices, subset, threads=threads)
+        block = subset_eval(model, ds, image_indices, subset, full=sim)
         block["source"] = name
         report.subsets.append(block)
     if with_distances:
         report.distances = embedding_distances(model, ds, image_indices,
-                                               caption_indices, threads)
+                                               caption_indices, codes=codes)
     return report
 
 
 def subset_eval(model: Model, ds: Dataset, eval_images: list[int],
-                subset_indices: list[int], threads: int = 1) -> dict:
-    """Metrics with queries AND candidate pool restricted to the subset."""
+                subset_indices: list[int], threads: int = 1, *,
+                full: SimilarityResult | None = None) -> dict:
+    """Metrics with queries AND candidate pool restricted to the subset.
+
+    The block is a slice of ``full``, a final-mode grid over (at least)
+    the subset's images and captions; when omitted, the subset alone is
+    scored here.
+    """
     for i in subset_indices:
         if not 0 <= i < ds.n_images:
             raise ValueError(f"subset image index {i} out of range "
                              f"0..{ds.n_images - 1}")
-    keep = [i for i in eval_images if i in set(subset_indices)]
+    wanted = set(subset_indices)
+    keep = [i for i in eval_images if i in wanted]
     if not keep:
         raise ValueError("subset does not intersect the evaluated images")
-    captions = [k for k, rec in enumerate(ds.captions)
-                if rec.image_index in set(keep)]
-    sim = similarity_matrix(model, ds, keep, captions, mode="final",
-                            threads=threads)
+    captions = ds.captions_of(keep)
+    if full is None:
+        full = similarity_matrix(model, ds, keep, captions, mode="final",
+                                 threads=threads)
+    row_of = {i: r for r, i in enumerate(full.image_ids)}
+    col_of = {k: c for c, k in enumerate(full.caption_ids)}
+    rows = [row_of[i] for i in keep]
+    cols = [col_of[k] for k in captions]
+    sim = SimilarityResult(full.scores[np.ix_(rows, cols)], keep, captions,
+                           full.text_to_image[cols])
     block = recall_block(sim)
     block["n_images"] = len(keep)
     block["n_texts"] = len(captions)

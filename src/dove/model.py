@@ -3,7 +3,8 @@
 One model instance owns a parameter registry shaped by its config (head
 kinds, ablation switches) plus the frozen embedding table.  Image rows
 and captions are encoded per sample; pair scores are cosines, assembled
-into (B, B) matrices for the two ranking branches:
+by ``Model.score_matrices`` into (images, captions) matrices for the two
+ranking branches:
 
     S_global[i][j] = cos(V_M_i, T_G_j)
     S_final[i][j]  = cos(V_MR_i, T_RG(i, j))
@@ -42,16 +43,6 @@ class ImageCode:
 class CaptionCode:
     f_g: Tensor    # (n_tokens, d) word-level features
     t_g: Tensor    # (d,) pooled text embedding
-
-
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    """(len(rows), d) tensor from rank-1 tensors, keeping gradients."""
-    if not any(r.requires_grad for r in rows):
-        return ag.constant(np.stack([r.data for r in rows]))
-    out = ag.reshape(rows[0], (1, rows[0].data.shape[0]))
-    for r in rows[1:]:
-        out = ag.concat_rows(out, ag.reshape(r, (1, r.data.shape[0])))
-    return out
 
 
 class Model:
@@ -117,33 +108,25 @@ class Model:
         return roam.iga_guide_rows(f_r_row, f_g_rows, self.reg,
                                    self.cfg.iga_head)
 
-    def pair_text_embedding(self, image: ImageCode, caption: CaptionCode) -> Tensor:
-        """T_RG for a single (image, caption) pair; rank-1 (d,)."""
-        if self.cfg.no_iga:
-            return caption.t_g
-        return roam.iga_guide(image.v_r, caption.t_g, self.reg,
-                              self.cfg.iga_head)
-
     def score_matrices(self, images: list[ImageCode],
                        captions: list[CaptionCode]) -> tuple[Tensor, Tensor]:
-        """(S_final, S_global) between every image and every caption."""
-        v_m = stack_rows([im.v_m for im in images])
-        v_mr = stack_rows([im.v_mr for im in images])
-        t_g = stack_rows([c.t_g for c in captions])
+        """(S_final, S_global) between every image and every caption.
+
+        The only code that turns codes into scores: the training loss and
+        evaluation both call it.  Each final score depends only on its own
+        pair, so a block of the grid equals the grid of that block.
+        """
+        v_m = ag.concat_rows(*(im.v_m for im in images))
+        t_g = ag.concat_rows(*(c.t_g for c in captions))
         s_global = cosine_matrix(v_m, t_g)
         if self.cfg.no_iga:
-            s_final = cosine_matrix(v_mr, t_g)
-            return s_final, s_global
+            v_mr = ag.concat_rows(*(im.v_mr for im in images))
+            return cosine_matrix(v_mr, t_g), s_global
         f_g_rows = roam.iga_transform_text(t_g, self.reg)
-        score_rows = []
-        for i, im in enumerate(images):
-            guided = self.guided_text_rows(im, f_g_rows)
-            row_i = cosine_matrix(
-                ag.reshape(im.v_mr, (1, self.cfg.d)), guided)
-            score_rows.append(row_i)
-        s_final = score_rows[0]
-        for r in score_rows[1:]:
-            s_final = ag.concat_rows(s_final, r)
+        s_final = ag.concat_rows(*(
+            cosine_matrix(ag.reshape(im.v_mr, (1, self.cfg.d)),
+                          self.guided_text_rows(im, f_g_rows))
+            for im in images))
         return s_final, s_global
 
     # ------------------------------------------------------------- losses

@@ -16,23 +16,11 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-def cosine(v: Tensor, t: Tensor) -> Tensor:
-    """Cosine of two rank-1 vectors as a shape-(1,) tensor.
-
-    Raises DegenerateVectorError when either vector has near-zero norm.
-    """
-    if v.data.ndim != 1 or t.data.ndim != 1 or v.data.shape != t.data.shape:
-        raise ag.DimensionError(
-            f"cosine expects equal-length rank-1 tensors, got "
-            f"{v.data.shape} and {t.data.shape}")
-    n = v.data.shape[0]
-    vn = ag.normalize_rows(ag.reshape(v, (1, n)))
-    tn = ag.normalize_rows(ag.reshape(t, (1, n)))
-    return ag.reshape(ag.matmul(vn, ag.transpose(tn)), (1,))
-
-
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosines between rows of a (m, d) and rows of b (n, d)."""
+    """Pairwise cosines between rows of a (m, d) and rows of b (n, d).
+
+    Raises DegenerateVectorError when a row has near-zero norm.
+    """
     return ag.matmul(ag.normalize_rows(a), ag.transpose(ag.normalize_rows(b)))
 
 

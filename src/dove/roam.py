@@ -95,27 +95,13 @@ def iga_transform_text(e_g: Tensor, reg: ParamRegistry) -> Tensor:
     return ag.affine(e_g, reg["iga.w_g"], reg["iga.b_g"])
 
 
-def iga_guide(e_r: Tensor, e_g: Tensor, reg: ParamRegistry,
-              head: str = "nonlinear") -> Tensor:
-    """Guided text embedding for one (image, text) pair; rank-1 (d,)."""
-    if e_r.data.ndim != 1 or e_g.data.ndim != 1:
-        raise ag.DimensionError("iga_guide expects rank-1 pooled vectors")
-    f_r = iga_transform_regions(ag.reshape(e_r, (1, e_r.data.shape[0])), reg)
-    f_g = iga_transform_text(ag.reshape(e_g, (1, e_g.data.shape[0])), reg)
-    gate = ag.sigmoid(ag.reduce_sum(ag.mul(f_r, f_g)))
-    u = ag.scale_rows(f_g, ag.add_scalar(gate, 1.0))
-    guided = _head(u, reg, "iga.head", head)
-    return ag.reshape(guided, (guided.data.shape[1],))
-
-
 def iga_guide_rows(f_r_row: Tensor, f_g_rows: Tensor, reg: ParamRegistry,
                    head: str = "nonlinear") -> Tensor:
     """Guided text embeddings of one image against many texts at once.
 
     ``f_r_row`` is the image's (1, d) guidance projection, ``f_g_rows``
-    the (n, d) text projections.  Row j equals iga_guide for pair
-    (image, text_j); the batched form just evaluates the same map for
-    every row in one set of matrix ops.
+    the (n, d) text projections.  Row j is T_RG for pair (image, text_j),
+    and its gate reads only row j, so each pair is guided on its own.
     """
     gates = ag.sigmoid(ag.matmul(f_g_rows, ag.transpose(f_r_row)))
     u = ag.scale_rows(f_g_rows,

@@ -73,10 +73,7 @@ def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool) -> Tensor:
         # h <- h + z * (c - h)
         h = ag.add(h, ag.mul(z, ag.sub(c, h)))
         rows[t] = h
-    out = rows[0]
-    for t in range(1, n):
-        out = ag.concat_rows(out, rows[t])
-    return out
+    return ag.concat_rows(*rows)
 
 
 def bigru(e: Tensor, reg: ParamRegistry, prefix: str = "text.gru") -> HiddenStates:

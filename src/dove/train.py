@@ -48,9 +48,7 @@ class TrainResult:
 
 
 def _val_mr(model: Model, ds: Dataset, split: Split, threads: int) -> float:
-    captions = [k for k, rec in enumerate(ds.captions)
-                if rec.image_index in set(split.val_images)]
-    sim = similarity_matrix(model, ds, split.val_images, captions,
+    sim = similarity_matrix(model, ds, split.val_images, split.val_pairs,
                             mode="final", threads=threads)
     return recall_block(sim)["mr"]
 

@@ -38,10 +38,11 @@ from dove.gated_attention import (dtga, gated_self_attention,
                                   register_dtga_params, register_ga_params,
                                   word_features)
 from dove.model import Model
-from dove.objective import cosine, triplet_loss
+from dove.objective import cosine_matrix, triplet_loss
 from dove.optimizer import adam_step, init_adam, lr_at
 from dove.params import ParamRegistry
-from dove.roam import (ifa_fuse, iga_guide, register_ifa_params,
+from dove.roam import (ifa_fuse, iga_guide_rows, iga_transform_regions,
+                       iga_transform_text, register_ifa_params,
                        register_iga_params)
 from dove.synth import synth_dataset, write_dataset
 from dove.text_encoder import bigru, register_gru_params
@@ -126,8 +127,10 @@ def test_criterion_02_components_match_independent_oracles():
             reg = ParamRegistry(seed=seed)
             register_iga_params(reg, D, head)
             e_r, e_g = rng.uniform(-1, 1, (1, D)), rng.uniform(-1, 1, D)
-            got = iga_guide(ag.constant(e_r[0]), ag.constant(e_g), reg,
-                            head).data
+            got = iga_guide_rows(
+                iga_transform_regions(ag.constant(e_r), reg),
+                iga_transform_text(ag.constant(e_g[None, :]), reg),
+                reg, head).data[0]
             assert np.allclose(got, oracles.iga(e_r[0], e_g, snapshot(reg),
                                                 head), atol=1e-12)
 
@@ -217,17 +220,16 @@ def test_criterion_07_order_and_scale_invariances(tiny_dataset):
     model, batch = micro_fixture(seed=5)
     rng = np.random.default_rng(6)
 
-    # region rows: pooled image code and guided text codes, bit for bit
+    # region rows: pooled image code and its scores, bit for bit
+    captions = [model.encode_caption(ids) for ids in batch.captions]
     for trial in range(3):
         perm = rng.permutation(batch.roi.shape[1])
         base = model.encode_image(batch.msv[0], batch.roi[0])
         shuffled = model.encode_image(batch.msv[0], batch.roi[0][perm])
         assert np.array_equal(base.v_mr.data, shuffled.v_mr.data)
-        for ids in batch.captions:
-            cap = model.encode_caption(ids)
-            assert np.array_equal(
-                model.pair_text_embedding(base, cap).data,
-                model.pair_text_embedding(shuffled, cap).data)
+        for got, want in zip(model.score_matrices([shuffled], captions),
+                             model.score_matrices([base], captions)):
+            assert np.array_equal(got.data, want.data)
 
     # batch order: total loss to 1e-12
     cfg = TrainConfig(d=8, heads=2, batch_size=2, epochs=1, seed=13,
@@ -247,8 +249,10 @@ def test_criterion_07_order_and_scale_invariances(tiny_dataset):
     for seed in range(10):
         r = np.random.default_rng(seed)
         a, b = r.uniform(-1, 1, 16), r.uniform(-1, 1, 16)
-        plain = cosine(ag.constant(a), ag.constant(b)).item()
-        scaled = cosine(ag.constant(3e-3 * a), ag.constant(17.0 * b)).item()
+        plain = cosine_matrix(ag.constant(a[None, :]),
+                              ag.constant(b[None, :])).item()
+        scaled = cosine_matrix(ag.constant(3e-3 * a[None, :]),
+                               ag.constant(17.0 * b[None, :])).item()
         assert abs(plain - scaled) < 1e-12
 
 

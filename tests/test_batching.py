@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dove.batching import (batch_order, gather_batch, make_batches,
-                           split_dataset, training_batches)
+from dove.batching import gather_batch, split_dataset, training_batches
 
 
 def test_split_zero_fraction_aliases_train(tiny_dataset):
@@ -40,31 +39,6 @@ def test_split_deterministic(tiny_dataset):
 def test_split_never_empties_training(tiny_dataset):
     split = split_dataset(tiny_dataset, 0.99, seed=0)
     assert len(split.train_images) >= 1
-
-
-def test_batch_order_pure_function():
-    assert np.array_equal(batch_order(10, 3, 4), batch_order(10, 3, 4))
-    assert not np.array_equal(batch_order(10, 3, 4), batch_order(10, 3, 5))
-
-
-def test_make_batches_eval_keeps_everything():
-    batches = make_batches(list(range(10)), 4, training=False)
-    assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-
-def test_make_batches_training_drops_partial():
-    batches = make_batches(list(range(10)), 4, training=True, seed=0, epoch=0)
-    assert len(batches) == 2
-    assert all(len(b) == 4 for b in batches)
-    flat = [k for b in batches for k in b]
-    assert len(set(flat)) == 8 and set(flat) <= set(range(10))
-
-
-def test_make_batches_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        make_batches([1, 2], 0, training=False)
-    with pytest.raises(ValueError):
-        make_batches([1, 2], 1, training=True)
 
 
 # -------------------------------------------------- collision-free batching

@@ -8,6 +8,11 @@ import pytest
 
 from dove.cli import main
 from dove.config import TrainConfig, config_hash
+from dove.dataio import (UNKNOWN_ID, load_dataset, load_embedding_table,
+                         write_embedding_table)
+from dove.model import Model
+from dove.optimizer import init_adam
+from dove.train import save_checkpoint
 
 SYNTH = ["synth", "--seed", "9", "--images", "6", "--clusters", "2",
          "--n-m", "3", "--n-r", "4", "--d-in", "6", "--d-r", "4",
@@ -125,6 +130,33 @@ def test_eval_can_skip_distances(workspace, tmp_path, capsys):
                  "--out", str(report_path)]) == 0
     capsys.readouterr()
     assert json.loads(report_path.read_text(encoding="utf-8"))["distances"] is None
+
+
+def test_eval_degenerate_caption_is_a_numeric_abort(tmp_path, capsys):
+    # caption 3 becomes two unknown tokens whose embedding row is zero; a
+    # freshly initialised model (zero biases) pools it to an exactly zero T_G
+    data = tmp_path / "data"
+    assert main(SYNTH + ["--out", str(data)]) == 0
+    table = load_embedding_table(str(data / "embedding.fb"))
+    table[UNKNOWN_ID] = 0.0
+    write_embedding_table(str(data / "embedding.fb"), table)
+    captions = data / "captions.txt"
+    lines = captions.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].split("\t")[0] + "\tqqqq zzzz"
+    captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = load_dataset(str(data))
+    assert ds.unknown_tokens == 2
+    cfg = TrainConfig(d=8, heads=2, seed=5)
+    model = Model(cfg, ds.embedding)
+    model.bind_feature_widths(ds.msv.shape[2], ds.roi.shape[2])
+    ckpt = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(ckpt, cfg, model.d_in, model.d_r,
+                    {n: t.data for n, t in model.reg.tensors().items()},
+                    init_adam(model.reg))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(data)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric abort: caption 3 has a near-zero embedding" in err
 
 
 def test_distances_output(workspace, capsys):

@@ -176,8 +176,10 @@ def test_load_dataset_assembles_everything(tiny_dataset_dir, tiny_dataset):
     assert ds.n_captions == 30
     assert ds.embedding.shape[1] == dataio.EMBED_DIM
     assert ds.unknown_tokens == 0
-    assert ds.captions_of(2) == [k for k, rec in enumerate(ds.captions)
-                                 if rec.image_index == 2]
+    assert ds.captions_of([2]) == [k for k, rec in enumerate(ds.captions)
+                                   if rec.image_index == 2]
+    assert ds.captions_of([4, 1]) == [k for k, rec in enumerate(ds.captions)
+                                      if rec.image_index in (1, 4)]
     # every referenced token id stays inside the embedding table
     top = max(max(rec.token_ids) for rec in ds.captions)
     assert top < ds.embedding.shape[0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dove import autograd as ag
 from dove.config import TrainConfig
 from dove.dataio import CaptionRecord, Dataset
 from dove.evaluation import (DegenerateEmbeddingError, SimilarityResult,
@@ -15,7 +16,6 @@ from dove.evaluation import (DegenerateEmbeddingError, SimilarityResult,
                              recall_block, render_table, similarity_matrix,
                              subset_eval)
 from dove.model import Model
-from dove.objective import cosine
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,10 @@ def tiny_model(tiny_dataset):
     model.bind_feature_widths(tiny_dataset.msv.shape[2],
                               tiny_dataset.roi.shape[2])
     return model
+
+
+def cos(a, b):
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def grid(scores, text_to_image, image_ids=None):
@@ -121,10 +125,12 @@ def test_final_scores_match_per_pair_cosines(tiny_model, tiny_dataset):
     from dove.evaluation import encode_captions, encode_images
     codes = encode_images(tiny_model, tiny_dataset, images)
     ccodes = encode_captions(tiny_model, tiny_dataset, caps)
+    vals = {n: t.data for n, t in tiny_model.reg.tensors().items()}
     for i, im in enumerate(codes):
         for j, c in enumerate(ccodes):
-            want = cosine(im.v_mr, tiny_model.pair_text_embedding(im, c)).item()
-            assert abs(sim.scores[i, j] - want) < 1e-12
+            t_rg = oracles.iga(im.v_r.data, c.t_g.data, vals,
+                               tiny_model.cfg.iga_head)
+            assert abs(sim.scores[i, j] - cos(im.v_mr.data, t_rg)) < 1e-12
 
 
 def test_global_scores_match_pooled_cosines(tiny_model, tiny_dataset):
@@ -136,7 +142,7 @@ def test_global_scores_match_pooled_cosines(tiny_model, tiny_dataset):
     ccodes = encode_captions(tiny_model, tiny_dataset, caps)
     for i, im in enumerate(codes):
         for j, c in enumerate(ccodes):
-            assert abs(sim.scores[i, j] - cosine(im.v_m, c.t_g).item()) < 1e-12
+            assert abs(sim.scores[i, j] - cos(im.v_m.data, c.t_g.data)) < 1e-12
 
 
 def test_similarity_columns_permute_with_captions(tiny_model, tiny_dataset):
@@ -163,6 +169,8 @@ def test_threaded_caption_encoding_matches_serial(tiny_model, tiny_dataset):
     threaded = similarity_matrix(tiny_model, tiny_dataset, images, caps,
                                  threads=4).scores
     assert np.array_equal(serial, threaded)
+    # the workers must not leave gradients switched off for the process
+    assert ag.scale(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
 
 
 def test_degenerate_caption_embedding_is_reported():
@@ -208,7 +216,7 @@ def test_distance_stats_structure(tiny_model, tiny_dataset):
 
 
 def test_distance_stats_single_pair(tiny_model, tiny_dataset):
-    caps_of_zero = tiny_dataset.captions_of(0)
+    caps_of_zero = tiny_dataset.captions_of([0])
     stats = embedding_distances(tiny_model, tiny_dataset, [0],
                                 [caps_of_zero[0]])
     for s in stats.values():
@@ -220,7 +228,7 @@ def test_distance_stats_single_pair(tiny_model, tiny_dataset):
 def test_distance_stats_need_positive_pairs(tiny_model, tiny_dataset):
     with pytest.raises(ValueError):
         embedding_distances(tiny_model, tiny_dataset, [0],
-                            tiny_dataset.captions_of(1))
+                            tiny_dataset.captions_of([1]))
 
 
 # ------------------------------------------------------------------ subsets
@@ -249,6 +257,23 @@ def test_subset_eval_rejects_bad_subsets(tiny_model, tiny_dataset):
         subset_eval(tiny_model, tiny_dataset, [0, 1], [99])
     with pytest.raises(ValueError, match="intersect"):
         subset_eval(tiny_model, tiny_dataset, [0, 1], [4, 5])
+
+
+def test_report_encodes_each_caption_once(tiny_model, tiny_dataset,
+                                          monkeypatch):
+    encoded = []
+    original = Model.encode_caption
+
+    def counting(self, token_ids):
+        encoded.append(list(token_ids))
+        return original(self, token_ids)
+
+    monkeypatch.setattr(Model, "encode_caption", counting)
+    report = build_report(tiny_model, tiny_dataset,
+                          list(range(tiny_dataset.n_images)), "all",
+                          [("half", [0, 2, 4])], with_distances=True)
+    assert report.subsets and report.distances
+    assert encoded == [rec.token_ids for rec in tiny_dataset.captions]
 
 
 def test_load_subset_file(tmp_path):

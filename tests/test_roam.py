@@ -7,7 +7,7 @@ import pytest
 import oracles
 from dove import autograd as ag
 from dove.params import ParamRegistry
-from dove.roam import (fuse_visual, ifa_fuse, iga_guide, iga_guide_rows,
+from dove.roam import (fuse_visual, ifa_fuse, iga_guide_rows,
                        iga_transform_regions, iga_transform_text, pool,
                        register_ifa_params, register_iga_params)
 
@@ -28,6 +28,13 @@ def iga_registry(seed, head):
 
 def rows(seed, n):
     return np.random.default_rng(seed).uniform(-1, 1, (n, D))
+
+
+def guide(reg, e_r, texts, head):
+    """T_RG rows of one pooled region vector against (n, D) text vectors."""
+    f_r_row = iga_transform_regions(ag.constant(e_r[None, :]), reg)
+    f_g_rows = iga_transform_text(ag.constant(texts), reg)
+    return iga_guide_rows(f_r_row, f_g_rows, reg, head)
 
 
 # ------------------------------------------------------------------- fusion
@@ -78,28 +85,29 @@ def test_iga_matches_oracle(seed, head):
     reg, vals = iga_registry(seed, head)
     e_r = rows(seed + 60, 1)[0]
     e_g = rows(seed + 70, 1)[0]
-    got = iga_guide(ag.constant(e_r), ag.constant(e_g), reg, head)
-    assert got.shape == (D,)
-    assert np.allclose(got.data, oracles.iga(e_r, e_g, vals, head), atol=1e-12)
+    got = guide(reg, e_r, e_g[None, :], head)
+    assert got.shape == (1, D)
+    assert np.allclose(got.data[0], oracles.iga(e_r, e_g, vals, head),
+                       atol=1e-12)
 
 
 def test_iga_guide_rejects_matrices():
+    # guidance takes one pooled region vector per image, not a row set
     reg, _ = iga_registry(0, "nonlinear")
+    f_r_rows = iga_transform_regions(ag.constant(rows(0, 2)), reg)
+    f_g_rows = iga_transform_text(ag.constant(rows(1, 3)), reg)
     with pytest.raises(ag.DimensionError):
-        iga_guide(ag.constant(rows(0, 2)), ag.constant(rows(1, 1)[0]), reg)
+        iga_guide_rows(f_r_rows, f_g_rows, reg)
 
 
 def test_batched_guidance_equals_per_pair_guidance():
-    reg, _ = iga_registry(9, "nonlinear")
+    reg, vals = iga_registry(9, "nonlinear")
     e_r = rows(90, 1)[0]
     texts = rows(91, 5)
-    f_r_row = iga_transform_regions(ag.constant(e_r[None, :]), reg)
-    f_g_rows = iga_transform_text(ag.constant(texts), reg)
-    batched = iga_guide_rows(f_r_row, f_g_rows, reg, "nonlinear")
+    batched = guide(reg, e_r, texts, "nonlinear")
     for j in range(5):
-        single = iga_guide(ag.constant(e_r), ag.constant(texts[j]), reg,
-                           "nonlinear")
-        assert np.allclose(batched.data[j], single.data, atol=1e-12)
+        single = oracles.iga(e_r, texts[j], vals, "nonlinear")
+        assert np.allclose(batched.data[j], single, atol=1e-12)
 
 
 def test_half_gate_construction():
@@ -108,10 +116,10 @@ def test_half_gate_construction():
     reg, vals = iga_registry(11, "nonlinear")
     reg["iga.w_r"].data = np.zeros((D, D))
     e_r, e_g = rows(110, 1)[0], rows(111, 1)[0]
-    got = iga_guide(ag.constant(e_r), ag.constant(e_g), reg, "nonlinear")
+    got = guide(reg, e_r, e_g[None, :], "nonlinear").data[0]
     f_g = e_g @ vals["iga.w_g"] + vals["iga.b_g"]
     want = oracles.head_map(1.5 * f_g[None, :], vals, "iga.head", "nonlinear")[0]
-    assert np.allclose(got.data, want, atol=1e-12)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_pool_fixture():
