@@ -19,7 +19,6 @@ from .config import TrainConfig, config_hash
 from .dataio import Dataset
 from .model import CaptionCode, ImageCode, Model
 from .rng import PRNG_NAME
-from . import roam
 
 REPORT_VERSION = 1
 RECALL_KS = (1, 5, 10)
@@ -104,13 +103,28 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
             s_final, s_global = model.score_matrices(*codes)
     except ag.DegenerateVectorError as exc:
         # the encoders reject degenerate V_M, V_MR and T_G: this is T_RG
-        raise DegenerateEmbeddingError(
-            f"a guided caption embedding is degenerate: {exc}") from exc
+        raise _degenerate_guidance(model, codes, image_indices,
+                                   caption_indices) from exc
     text_to_image = np.array([ds.captions[k].image_index
                               for k in caption_indices], dtype=np.int64)
     scores = s_final.data if mode == "final" else s_global.data
     return SimilarityResult(scores, list(image_indices),
                             list(caption_indices), text_to_image)
+
+
+def _degenerate_guidance(model: Model, codes, image_indices: list[int],
+                         caption_indices: list[int]) -> DegenerateEmbeddingError:
+    """The error naming the first (image, caption) pair whose T_RG is zero."""
+    images, captions = codes
+    with no_grad():
+        guided = model.guided_text_rows(
+            images, ag.concat_rows(*(c.t_g for c in captions)))
+    for i, t_rg in zip(image_indices, guided):
+        try:
+            _unit_rows(t_rg.data, "caption", caption_indices)
+        except DegenerateEmbeddingError as exc:
+            return DegenerateEmbeddingError(f"{exc} when guided by image {i}")
+    return DegenerateEmbeddingError("a guided caption embedding is degenerate")
 
 
 # ----------------------------------------------------------------- recalls
@@ -205,19 +219,15 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
     images, captions = codes
     pair_images = [images[p] for p, _ in pairs]
     pair_captions = [captions[c] for _, c in pairs]
-    # ablated guidance falls back to T_G; otherwise every pair of one
-    # image takes its T_RG from one batched guidance call
-    t_rg = np.stack([c.t_g.data for c in pair_captions])
-    if not model.cfg.no_iga:
-        by_image: dict[int, list[int]] = {}
-        for n, (p, _) in enumerate(pairs):
-            by_image.setdefault(p, []).append(n)
-        with no_grad():
-            for p, rows in by_image.items():
-                f_g = roam.iga_transform_text(
-                    ag.concat_rows(*(pair_captions[n].t_g for n in rows)),
-                    model.reg)
-                t_rg[rows] = model.guided_text_rows(images[p], f_g).data
+    # every pair of one image takes its T_RG from one guidance call
+    by_image: dict[int, list[int]] = {}
+    for n, (p, _) in enumerate(pairs):
+        by_image.setdefault(p, []).append(n)
+    t_rg = np.empty((len(pairs), model.cfg.d))
+    with no_grad():
+        for p, rows in by_image.items():
+            t_g = ag.concat_rows(*(pair_captions[n].t_g for n in rows))
+            t_rg[rows] = model.guided_text_rows([images[p]], t_g)[0].data
 
     image_ids = [image_indices[p] for p, _ in pairs]
     caption_ids = [caption_indices[c] for _, c in pairs]
@@ -291,7 +301,7 @@ def build_report(model: Model, ds: Dataset, image_indices: list[int],
         full=recall_block(sim),
     )
     for name, subset in subset_files:
-        block = subset_eval(model, ds, image_indices, subset, full=sim)
+        block = subset_eval(ds, sim, subset)
         block["source"] = name
         report.subsets.append(block)
     if with_distances:
@@ -300,36 +310,31 @@ def build_report(model: Model, ds: Dataset, image_indices: list[int],
     return report
 
 
-def subset_eval(model: Model, ds: Dataset, eval_images: list[int],
-                subset_indices: list[int], threads: int = 1, *,
-                full: SimilarityResult | None = None) -> dict:
+def subset_eval(ds: Dataset, full: SimilarityResult,
+                subset_indices: list[int]) -> dict:
     """Metrics with queries AND candidate pool restricted to the subset.
 
-    The block is a slice of ``full``, a final-mode grid over (at least)
-    the subset's images and captions; when omitted, the subset alone is
-    scored here.
+    The block is a slice of ``full``, a final-mode grid over the evaluated
+    images and all their captions: every final score depends only on its
+    own pair, so the slice equals the subset scored on its own (up to
+    rounding, as a product's last bits can depend on the matrix width).
     """
     for i in subset_indices:
         if not 0 <= i < ds.n_images:
             raise ValueError(f"subset image index {i} out of range "
                              f"0..{ds.n_images - 1}")
     wanted = set(subset_indices)
-    keep = [i for i in eval_images if i in wanted]
-    if not keep:
+    rows = [r for r, i in enumerate(full.image_ids) if i in wanted]
+    if not rows:
         raise ValueError("subset does not intersect the evaluated images")
-    captions = ds.captions_of(keep)
-    if full is None:
-        full = similarity_matrix(model, ds, keep, captions, mode="final",
-                                 threads=threads)
-    row_of = {i: r for r, i in enumerate(full.image_ids)}
-    col_of = {k: c for c, k in enumerate(full.caption_ids)}
-    rows = [row_of[i] for i in keep]
-    cols = [col_of[k] for k in captions]
-    sim = SimilarityResult(full.scores[np.ix_(rows, cols)], keep, captions,
+    cols = [c for c, i in enumerate(full.text_to_image) if i in wanted]
+    sim = SimilarityResult(full.scores[np.ix_(rows, cols)],
+                           [full.image_ids[r] for r in rows],
+                           [full.caption_ids[c] for c in cols],
                            full.text_to_image[cols])
     block = recall_block(sim)
-    block["n_images"] = len(keep)
-    block["n_texts"] = len(captions)
+    block["n_images"] = len(rows)
+    block["n_texts"] = len(cols)
     return block
 
 

@@ -99,14 +99,21 @@ class Model:
 
     # ------------------------------------------------------- pair scoring
 
-    def guided_text_rows(self, image: ImageCode, f_g_rows: Tensor) -> Tensor:
-        """T_RG rows of one image against pre-projected text rows."""
+    def guided_text_rows(self, images: list[ImageCode],
+                         t_g: Tensor) -> list[Tensor]:
+        """T_RG rows of each image against the (n, d) T_G rows ``t_g``.
+
+        The text is projected once for all images.  With guidance ablated
+        T_RG falls back to T_G, so every image gets ``t_g`` itself.
+        """
         if self.cfg.no_iga:
-            raise RuntimeError("guidance is ablated; T_RG falls back to T_G")
-        f_r_row = roam.iga_transform_regions(
-            ag.reshape(image.v_r, (1, self.cfg.d)), self.reg)
-        return roam.iga_guide_rows(f_r_row, f_g_rows, self.reg,
-                                   self.cfg.iga_head)
+            return [t_g] * len(images)
+        f_g_rows = roam.iga_transform_text(t_g, self.reg)
+        return [roam.iga_guide_rows(
+                    roam.iga_transform_regions(
+                        ag.reshape(im.v_r, (1, self.cfg.d)), self.reg),
+                    f_g_rows, self.reg, self.cfg.iga_head)
+                for im in images]
 
     def score_matrices(self, images: list[ImageCode],
                        captions: list[CaptionCode]) -> tuple[Tensor, Tensor]:
@@ -119,14 +126,9 @@ class Model:
         v_m = ag.concat_rows(*(im.v_m for im in images))
         t_g = ag.concat_rows(*(c.t_g for c in captions))
         s_global = cosine_matrix(v_m, t_g)
-        if self.cfg.no_iga:
-            v_mr = ag.concat_rows(*(im.v_mr for im in images))
-            return cosine_matrix(v_mr, t_g), s_global
-        f_g_rows = roam.iga_transform_text(t_g, self.reg)
         s_final = ag.concat_rows(*(
-            cosine_matrix(ag.reshape(im.v_mr, (1, self.cfg.d)),
-                          self.guided_text_rows(im, f_g_rows))
-            for im in images))
+            cosine_matrix(ag.reshape(im.v_mr, (1, self.cfg.d)), t_rg)
+            for im, t_rg in zip(images, self.guided_text_rows(images, t_g))))
         return s_final, s_global
 
     # ------------------------------------------------------------- losses

@@ -233,30 +233,66 @@ def test_distance_stats_need_positive_pairs(tiny_model, tiny_dataset):
 
 # ------------------------------------------------------------------ subsets
 
+def full_grid(model, ds, images):
+    return similarity_matrix(model, ds, images, ds.captions_of(images))
+
+
 def test_subset_eval_matches_direct_computation(tiny_model, tiny_dataset):
-    subset = [0, 1, 2]
-    block = subset_eval(tiny_model, tiny_dataset,
-                        list(range(tiny_dataset.n_images)), subset)
-    caps = [k for k, rec in enumerate(tiny_dataset.captions)
-            if rec.image_index in set(subset)]
-    want = recall_block(similarity_matrix(tiny_model, tiny_dataset, subset,
-                                          caps))
+    # the block is sliced out of the full grid; scoring the subset on its
+    # own gives the same ids and recalls, and the same scores up to BLAS
+    # rounding (a product's last bits can depend on the matrix width)
+    eval_images = [5, 0, 3, 2, 1]
+    subset = [2, 0, 4, 3]
+    full = full_grid(tiny_model, tiny_dataset, eval_images)
+    keep = [0, 3, 2]
+    direct = full_grid(tiny_model, tiny_dataset, keep)
+    block = subset_eval(tiny_dataset, full, subset)
+    want = recall_block(direct)
     for key, value in want.items():
         assert block[key] == value
-    assert block["n_images"] == 3 and block["n_texts"] == len(caps)
+    assert block["n_images"] == 3
+    assert block["n_texts"] == len(direct.caption_ids)
+    rows = [full.image_ids.index(i) for i in keep]
+    cols = [full.caption_ids.index(k) for k in direct.caption_ids]
+    assert np.allclose(full.scores[np.ix_(rows, cols)], direct.scores,
+                       rtol=0.0, atol=1e-12)
+    assert np.array_equal(full.text_to_image[cols], direct.text_to_image)
 
 
 def test_subset_eval_singleton_is_trivially_perfect(tiny_model, tiny_dataset):
-    block = subset_eval(tiny_model, tiny_dataset,
-                        list(range(tiny_dataset.n_images)), [4])
+    full = full_grid(tiny_model, tiny_dataset,
+                     list(range(tiny_dataset.n_images)))
+    block = subset_eval(tiny_dataset, full, [4])
     assert block["r1_i2t"] == 100.0 and block["r1_t2i"] == 100.0
 
 
 def test_subset_eval_rejects_bad_subsets(tiny_model, tiny_dataset):
+    full = full_grid(tiny_model, tiny_dataset, [0, 1])
     with pytest.raises(ValueError, match="out of range"):
-        subset_eval(tiny_model, tiny_dataset, [0, 1], [99])
+        subset_eval(tiny_dataset, full, [99])
     with pytest.raises(ValueError, match="intersect"):
-        subset_eval(tiny_model, tiny_dataset, [0, 1], [4, 5])
+        subset_eval(tiny_dataset, full, [4, 5])
+
+
+def test_degenerate_guided_caption_names_caption_and_image(
+        tiny_model, tiny_dataset, monkeypatch):
+    # zero the guidance output of the third caption: T_RG(image, caption)
+    # is degenerate for every image, and the first image scored is named
+    from dove import roam
+    original = roam.iga_guide_rows
+
+    def zero_third_row(*args, **kwargs):
+        out = original(*args, **kwargs)
+        return ag.Tensor(np.where(np.arange(out.data.shape[0])[:, None] == 2,
+                                  0.0, out.data))
+
+    monkeypatch.setattr(roam, "iga_guide_rows", zero_third_row)
+    images = [3, 1]
+    captions = tiny_dataset.captions_of(images)
+    with pytest.raises(DegenerateEmbeddingError,
+                       match=f"caption {captions[2]} has a near-zero "
+                             f"embedding when guided by image 3"):
+        similarity_matrix(tiny_model, tiny_dataset, images, captions)
 
 
 def test_report_encodes_each_caption_once(tiny_model, tiny_dataset,
@@ -302,6 +338,10 @@ def test_build_report_and_rendering(tiny_model, tiny_dataset, tmp_path):
     assert report.full["mr"] == mean_recall(
         [report.full[f"r{k}_{d}"] for d in ("i2t", "t2i") for k in (1, 5, 10)])
     assert report.subsets[0]["source"] == subset_name
+    full = similarity_matrix(tiny_model, tiny_dataset, [0, 1, 2, 3],
+                             tiny_dataset.captions_of([0, 1, 2, 3]))
+    assert report.subsets[0] == {**subset_eval(tiny_dataset, full, [0, 1]),
+                                 "source": subset_name}
     assert set(report.distances) == {"v_mr__t_rg", "v_m__t_g", "v_r__v_mr",
                                      "v_r__v_m", "v_r__t_rg", "v_r__t_g"}
 
