@@ -53,7 +53,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--ifa-head", dest="ifa_head", choices=("linear", "nonlinear"))
     p.add_argument("--iga-head", dest="iga_head", choices=("linear", "nonlinear"))
     p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--threads", type=int)
 
 
 def resolve_config(args: argparse.Namespace) -> TrainConfig:
@@ -117,15 +116,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if args.threads is not None:
-        ckpt.cfg.threads = args.threads
     ds = load_dataset(args.data)
     model = model_from_checkpoint(ckpt, ds)
     images = _split_images(ds, ckpt.cfg, args.split)
     subsets = [(path, load_subset_file(path)) for path in args.subset or ()]
     report = build_report(model, ds, images, args.split, subsets,
-                          with_distances=not args.no_distances,
-                          threads=ckpt.cfg.threads)
+                          with_distances=not args.no_distances)
     sys.stdout.write(render_table(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -136,12 +132,10 @@ def cmd_eval(args) -> int:
 
 def cmd_distances(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if args.threads is not None:
-        ckpt.cfg.threads = args.threads
     ds = load_dataset(args.data)
     model = model_from_checkpoint(ckpt, ds)
     images = _split_images(ds, ckpt.cfg, args.split)
-    stats = embedding_distances(model, ds, images, threads=ckpt.cfg.threads)
+    stats = embedding_distances(model, ds, images)
     for key in sorted(stats):
         s = stats[key]
         print(f"{key:<12} mean={s['mean']:.6f} median={s['median']:.6f} "
@@ -213,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file of image indices (repeatable)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--no-distances", action="store_true")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("distances", help="embedding distance statistics")
@@ -221,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("all", "train", "val"), default="all")
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")

@@ -1,9 +1,11 @@
 """Run configuration: dataclass, `key = value` files, canonical hashing.
 
 Precedence when assembling a config is flag > config file > default.
-The config hash covers the model-relevant fields only (paths and thread
-counts are excluded), so the same experiment hashed on two machines
-matches.
+The config hash covers every field and nothing else (paths are not
+config), so the same experiment hashed on two machines matches.  The
+config text also carries the line of the retired ``threads`` option, so
+DOVECP01 checkpoints keep their bytes; the parser accepts that line and
+no other value for it.
 """
 from __future__ import annotations
 
@@ -38,10 +40,6 @@ class TrainConfig:
     ifa_head: str = "linear"
     iga_head: str = "nonlinear"
     val_fraction: float = 0.2
-    threads: int = 1
-
-    # fields that do not alter the trained function
-    _UNHASHED = ("threads",)
 
     def validate(self):
         if self.d <= 0 or self.d % 2 != 0:
@@ -69,8 +67,6 @@ class TrainConfig:
             raise ConfigError("ifa_head/iga_head must be 'linear' or 'nonlinear'")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
 
 
@@ -100,11 +96,25 @@ def _parse_value(field_type: type, raw: str, key: str):
     return raw
 
 
+# removed options whose line the config text still carries, with the only
+# value the line may hold, so DOVECP01 checkpoints keep their bytes
+_RETIRED = {"threads": "1"}
+
+
+def _render(items) -> str:
+    return "\n".join(f"{key} = {value}" for key, value in sorted(items))
+
+
+def _field_items(cfg: TrainConfig) -> list[tuple[str, str]]:
+    return [(f.name, _format_value(getattr(cfg, f.name))) for f in fields(cfg)]
+
+
 def config_to_text(cfg: TrainConfig) -> str:
-    """Canonical `key = value` rendering, one field per line, sorted."""
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-             for f in sorted(fields(cfg), key=lambda f: f.name)]
-    return "\n".join(lines) + "\n"
+    """Canonical `key = value` rendering, one field per line, sorted.
+
+    The retired lines are included at their sorted place.
+    """
+    return _render(_field_items(cfg) + list(_RETIRED.items())) + "\n"
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -124,6 +134,12 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in _RETIRED:
+            if raw.strip() != _RETIRED[key]:
+                raise ConfigError(
+                    f"line {lineno}: config key {key!r} is removed; only "
+                    f"'{key} = {_RETIRED[key]}' is accepted, got {raw.strip()!r}")
+            continue
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         overrides[key] = _parse_value(types[key], raw, key)
@@ -136,9 +152,5 @@ def load_config_file(path: str, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def config_hash(cfg: TrainConfig) -> str:
-    """sha256 over the canonical text of the hashed fields."""
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-             for f in sorted(fields(cfg), key=lambda f: f.name)
-             if f.name not in TrainConfig._UNHASHED]
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest
+    """sha256 over the canonical lines of the fields (no retired lines)."""
+    return hashlib.sha256(_render(_field_items(cfg)).encode("utf-8")).hexdigest()

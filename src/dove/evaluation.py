@@ -50,22 +50,12 @@ def encode_images(model: Model, ds: Dataset,
     return codes
 
 
-def encode_captions(model: Model, ds: Dataset, caption_indices: list[int],
-                    threads: int = 1) -> list[CaptionCode]:
+def encode_captions(model: Model, ds: Dataset,
+                    caption_indices: list[int]) -> list[CaptionCode]:
     """Caption codes; one whose T_G cannot be scored raises."""
-    def work(k):
-        return model.encode_caption(ds.captions[k].token_ids)
-
-    # no_grad flips a process-wide flag, so only this thread may enter it:
-    # worker threads entering and leaving it concurrently can restore the
-    # flag in the wrong order and leave gradients off for the process
     with no_grad():
-        if threads <= 1 or len(caption_indices) < 2:
-            codes = [work(k) for k in caption_indices]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                codes = list(pool.map(work, caption_indices))
+        codes = [model.encode_caption(ds.captions[k].token_ids)
+                 for k in caption_indices]
     if codes:
         _unit_rows(np.stack([c.t_g.data for c in codes]), "caption",
                    caption_indices)
@@ -81,34 +71,30 @@ class SimilarityResult:
 
 
 def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
-                      caption_indices: list[int], mode: str = "final",
-                      threads: int = 1, *, codes=None) -> SimilarityResult:
-    """Pairwise cosine grid between images and captions.
+                      caption_indices: list[int], *,
+                      codes=None) -> SimilarityResult:
+    """Pairwise final-score grid between images and captions.
 
-    mode "global" scores (V_M, T_G); mode "final" scores
-    (V_MR, T_RG(i, j)) -- honoring the configured ablations.  Both come
-    from ``Model.score_matrices``.  ``codes`` is (image codes, caption
-    codes) in the order of the two index lists; when omitted they are
-    encoded here.
+    Each score is the cosine of (V_MR, T_RG(i, j)), honoring the
+    configured ablations, from ``Model.score_matrices``.  ``codes`` is
+    (image codes, caption codes) in the order of the two index lists;
+    when omitted they are encoded here.
     """
-    if mode not in ("final", "global"):
-        raise ValueError(f"unknown similarity mode {mode!r}")
     if not image_indices or not caption_indices:
         raise ValueError("similarity_matrix needs nonempty query sets")
     if codes is None:
         codes = (encode_images(model, ds, image_indices),
-                 encode_captions(model, ds, caption_indices, threads))
+                 encode_captions(model, ds, caption_indices))
     try:
         with no_grad():
-            s_final, s_global = model.score_matrices(*codes)
+            s_final, _ = model.score_matrices(*codes)
     except ag.DegenerateVectorError as exc:
         # the encoders reject degenerate V_M, V_MR and T_G: this is T_RG
         raise _degenerate_guidance(model, codes, image_indices,
                                    caption_indices) from exc
     text_to_image = np.array([ds.captions[k].image_index
                               for k in caption_indices], dtype=np.int64)
-    scores = s_final.data if mode == "final" else s_global.data
-    return SimilarityResult(scores, list(image_indices),
+    return SimilarityResult(s_final.data, list(image_indices),
                             list(caption_indices), text_to_image)
 
 
@@ -184,19 +170,9 @@ DISTANCE_KEYS = ("v_mr__t_rg", "v_m__t_g", "v_r__v_mr", "v_r__v_m",
                  "v_r__t_rg", "v_r__t_g")
 
 
-def euclidean(a, b) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.ndim != 1 or av.shape != bv.shape:
-        raise ValueError(f"euclidean expects two equal-length vectors, "
-                         f"got shapes {av.shape} and {bv.shape}")
-    return float(np.linalg.norm(av - bv))
-
-
 def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
-                        caption_indices: list[int] | None = None,
-                        threads: int = 1, *, codes=None) -> dict:
+                        caption_indices: list[int] | None = None, *,
+                        codes=None) -> dict:
     """Euclidean distance statistics over positive (image, caption) pairs.
 
     Distances are measured between unit-normalized embeddings -- the
@@ -215,7 +191,7 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
         raise ValueError("no positive pairs in the requested subset")
     if codes is None:
         codes = (encode_images(model, ds, image_indices),
-                 encode_captions(model, ds, caption_indices, threads))
+                 encode_captions(model, ds, caption_indices))
     images, captions = codes
     pair_images = [images[p] for p, _ in pairs]
     pair_captions = [captions[c] for _, c in pairs]
@@ -285,13 +261,13 @@ class RetrievalReport:
 
 def build_report(model: Model, ds: Dataset, image_indices: list[int],
                  split_name: str, subset_files: list[tuple[str, list[int]]] = (),
-                 with_distances: bool = True, threads: int = 1) -> RetrievalReport:
+                 with_distances: bool = True) -> RetrievalReport:
     """Recalls, subset recalls and distances from one encoding of the split."""
     caption_indices = ds.captions_of(image_indices)
     codes = (encode_images(model, ds, image_indices),
-             encode_captions(model, ds, caption_indices, threads))
+             encode_captions(model, ds, caption_indices))
     sim = similarity_matrix(model, ds, image_indices, caption_indices,
-                            mode="final", codes=codes)
+                            codes=codes)
     report = RetrievalReport(
         config_hash=config_hash(model.cfg),
         seed=model.cfg.seed,
@@ -314,7 +290,7 @@ def subset_eval(ds: Dataset, full: SimilarityResult,
                 subset_indices: list[int]) -> dict:
     """Metrics with queries AND candidate pool restricted to the subset.
 
-    The block is a slice of ``full``, a final-mode grid over the evaluated
+    The block is a slice of ``full``, a final-score grid over the evaluated
     images and all their captions: every final score depends only on its
     own pair, so the slice equals the subset scored on its own (up to
     rounding, as a product's last bits can depend on the matrix width).

@@ -13,7 +13,7 @@ EPS = 1e-8
 
 
 class NumericAbort(RuntimeError):
-    """Training hit a non-finite loss or gradient."""
+    """Training hit a non-finite loss or gradient, or a degenerate code."""
 
 
 @dataclass

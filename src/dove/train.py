@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd as ag
 from .batching import Split, gather_batch, split_dataset, training_batches
 from .config import TrainConfig, config_hash, config_to_text, parse_config_text
 from .dataio import Dataset
@@ -47,9 +48,8 @@ class TrainResult:
     best_val_mr: float = -1.0
 
 
-def _val_mr(model: Model, ds: Dataset, split: Split, threads: int) -> float:
-    sim = similarity_matrix(model, ds, split.val_images, split.val_pairs,
-                            mode="final", threads=threads)
+def _val_mr(model: Model, ds: Dataset, split: Split) -> float:
+    sim = similarity_matrix(model, ds, split.val_images, split.val_pairs)
     return recall_block(sim)["mr"]
 
 
@@ -81,7 +81,13 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
         for b, caption_ids in enumerate(batches):
             batch = gather_batch(ds, caption_ids)
             model.reg.zero_grad()
-            total, loss_final, loss_global = model.batch_losses(batch)
+            try:
+                total, loss_final, loss_global = model.batch_losses(batch)
+            except ag.DegenerateVectorError as exc:
+                raise NumericAbort(
+                    f"epoch {epoch} batch {b}: degenerate code ({exc}; "
+                    f"images={batch.image_ids}, captions={batch.caption_ids})"
+                ) from exc
             if not np.isfinite(total.data[0]):
                 raise NumericAbort(
                     f"epoch {epoch} batch {b}: non-finite loss "
@@ -93,7 +99,7 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
             sum_final += loss_final.data[0]
             sum_global += loss_global.data[0]
         n = len(batches)
-        val_mr = _val_mr(model, ds, split, cfg.threads)
+        val_mr = _val_mr(model, ds, split)
         stats = EpochStats(epoch, sum_total / n, sum_final / n, sum_global / n,
                            lr, val_mr, time.perf_counter() - started)
         result.epochs.append(stats)

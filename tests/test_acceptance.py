@@ -200,7 +200,7 @@ def test_criterion_05_desk_scale_overfit(overfit_run):
     caps = [k for k, rec in enumerate(overfit_run.ds.captions)
             if rec.image_index in set(overfit_run.train_images)]
     sim = similarity_matrix(overfit_run.model, overfit_run.ds,
-                            overfit_run.train_images, caps, mode="final")
+                            overfit_run.train_images, caps)
     block = recall_block(sim)
     assert block["r1_i2t"] == 100.0
     assert block["r1_t2i"] == 100.0

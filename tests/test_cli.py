@@ -100,6 +100,17 @@ def test_unknown_config_key_is_a_usage_error(workspace, tmp_path, capsys):
     assert "epoochs" in capsys.readouterr().err
 
 
+def test_config_asking_for_threads_is_a_usage_error(workspace, tmp_path,
+                                                   capsys):
+    data, _ = workspace
+    cfg_file = tmp_path / "threads.cfg"
+    cfg_file.write_text("epochs = 1\nthreads = 2\n", encoding="utf-8")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg_file)] + TRAIN_FLAGS)
+    assert code == 2
+    assert "'threads' is removed" in capsys.readouterr().err
+
+
 def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
     data, run = workspace
     report_path = tmp_path / "report.json"
@@ -157,6 +168,27 @@ def test_eval_degenerate_caption_is_a_numeric_abort(tmp_path, capsys):
     assert main(["eval", "--checkpoint", ckpt, "--data", str(data)]) == 4
     err = capsys.readouterr().err
     assert "numeric abort: caption 3 has a near-zero embedding" in err
+
+
+def test_train_degenerate_caption_is_a_numeric_abort(tmp_path, capsys):
+    # every caption is unknown tokens whose embedding row is zero, so every
+    # T_G pools to exactly zero in the first batch
+    data = tmp_path / "data"
+    assert main(SYNTH + ["--images", "8", "--out", str(data)]) == 0
+    table = load_embedding_table(str(data / "embedding.fb"))
+    table[UNKNOWN_ID] = 0.0
+    write_embedding_table(str(data / "embedding.fb"), table)
+    captions = data / "captions.txt"
+    lines = [line.split("\t")[0] + "\tqqqq zzzz"
+             for line in captions.read_text(encoding="utf-8").splitlines()]
+    captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]
+                + TRAIN_FLAGS) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"numeric abort: epoch 0 batch 0: degenerate code "
+                     r"\(.*near-zero norm; images=\[\d+, \d+\], "
+                     r"captions=\[\d+, \d+\]\)", err), err
 
 
 def test_distances_output(workspace, capsys):

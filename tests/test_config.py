@@ -80,7 +80,6 @@ def test_load_config_file(tmp_path):
     ("dtga_inputs", "xx"),
     ("ifa_head", "cubic"), ("iga_head", ""),
     ("val_fraction", 1.0), ("val_fraction", -0.1),
-    ("threads", 0),
 ])
 def test_validate_rejects(field, value):
     cfg = dataclasses.replace(TrainConfig(), **{field: value})
@@ -97,8 +96,46 @@ def test_hash_is_stable_and_sensitive():
     assert config_hash(TrainConfig(seed=7)) != h0
 
 
-def test_hash_ignores_thread_count():
-    assert config_hash(TrainConfig(threads=8)) == config_hash(TrainConfig())
+def test_default_text_is_the_dovecp01_config_block():
+    # checkpoints embed this block byte for byte; the retired threads line
+    # keeps its sorted place
+    assert config_to_text(TrainConfig()) == (
+        "alpha = 0.2\n"
+        "batch_size = 100\n"
+        "d = 512\n"
+        "decay_every = 20\n"
+        "decay_factor = 0.7\n"
+        "dtga_inputs = fb\n"
+        "epochs = 50\n"
+        "heads = 2\n"
+        "ifa_head = linear\n"
+        "iga_head = nonlinear\n"
+        "lambda_g = 10.0\n"
+        "lr0 = 0.0002\n"
+        "no_dtga = false\n"
+        "no_ifa = false\n"
+        "no_iga = false\n"
+        "seed = 42\n"
+        "threads = 1\n"
+        "val_fraction = 0.2\n")
+
+
+def test_default_hash_is_pinned():
+    assert config_hash(TrainConfig()) == (
+        "37b295638d306ff1f6673af432bf2769710f3c0af848000e087aa3dc9651bd7d")
+
+
+def test_retired_threads_line_parses(tmp_path):
+    assert parse_config_text("threads = 1\nepochs = 3\n") == TrainConfig(epochs=3)
+    path = tmp_path / "run.cfg"
+    path.write_text("threads = 1\n", encoding="utf-8")
+    assert load_config_file(str(path)) == TrainConfig()
+
+
+def test_retired_threads_rejects_any_other_value():
+    for raw in ("2", "0", "one", ""):
+        with pytest.raises(ConfigError, match="'threads' is removed"):
+            parse_config_text(f"threads = {raw}\n")
 
 
 def test_hash_distinguishes_every_ablation_mode():

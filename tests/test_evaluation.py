@@ -11,10 +11,10 @@ from dove import autograd as ag
 from dove.config import TrainConfig
 from dove.dataio import CaptionRecord, Dataset
 from dove.evaluation import (DegenerateEmbeddingError, SimilarityResult,
-                             build_report, embedding_distances, euclidean,
-                             load_subset_file, mean_recall, recall_at_k,
-                             recall_block, render_table, similarity_matrix,
-                             subset_eval)
+                             build_report, embedding_distances,
+                             encode_captions, encode_images, load_subset_file,
+                             mean_recall, recall_at_k, recall_block,
+                             render_table, similarity_matrix, subset_eval)
 from dove.model import Model
 
 
@@ -118,11 +118,11 @@ def test_mean_recall_fixtures():
 def test_final_scores_match_per_pair_cosines(tiny_model, tiny_dataset):
     images = [0, 2, 4]
     caps = [0, 5, 11, 20]
-    sim = similarity_matrix(tiny_model, tiny_dataset, images, caps,
-                            mode="final")
+    sim = similarity_matrix(tiny_model, tiny_dataset, images, caps)
     assert sim.scores.shape == (3, 4)
     assert sim.image_ids == images and sim.caption_ids == caps
-    from dove.evaluation import encode_captions, encode_images
+    # no_grad is a process-wide flag: scoring must leave gradients on
+    assert ag.scale(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
     codes = encode_images(tiny_model, tiny_dataset, images)
     ccodes = encode_captions(tiny_model, tiny_dataset, caps)
     vals = {n: t.data for n, t in tiny_model.reg.tensors().items()}
@@ -135,14 +135,15 @@ def test_final_scores_match_per_pair_cosines(tiny_model, tiny_dataset):
 
 def test_global_scores_match_pooled_cosines(tiny_model, tiny_dataset):
     images, caps = [1, 3], [2, 9, 14]
-    sim = similarity_matrix(tiny_model, tiny_dataset, images, caps,
-                            mode="global")
-    from dove.evaluation import encode_captions, encode_images
     codes = encode_images(tiny_model, tiny_dataset, images)
     ccodes = encode_captions(tiny_model, tiny_dataset, caps)
+    with ag.no_grad():
+        _, s_global = tiny_model.score_matrices(codes, ccodes)
+    assert s_global.shape == (2, 3)
     for i, im in enumerate(codes):
         for j, c in enumerate(ccodes):
-            assert abs(sim.scores[i, j] - cos(im.v_m.data, c.t_g.data)) < 1e-12
+            assert abs(s_global.data[i, j]
+                       - cos(im.v_m.data, c.t_g.data)) < 1e-12
 
 
 def test_similarity_columns_permute_with_captions(tiny_model, tiny_dataset):
@@ -158,19 +159,6 @@ def test_similarity_columns_permute_with_captions(tiny_model, tiny_dataset):
 def test_similarity_rejects_bad_requests(tiny_model, tiny_dataset):
     with pytest.raises(ValueError):
         similarity_matrix(tiny_model, tiny_dataset, [], [0])
-    with pytest.raises(ValueError):
-        similarity_matrix(tiny_model, tiny_dataset, [0], [0], mode="fused")
-
-
-def test_threaded_caption_encoding_matches_serial(tiny_model, tiny_dataset):
-    images, caps = [0, 3], list(range(8))
-    serial = similarity_matrix(tiny_model, tiny_dataset, images, caps,
-                               threads=1).scores
-    threaded = similarity_matrix(tiny_model, tiny_dataset, images, caps,
-                                 threads=4).scores
-    assert np.array_equal(serial, threaded)
-    # the workers must not leave gradients switched off for the process
-    assert ag.scale(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
 
 
 def test_degenerate_caption_embedding_is_reported():
@@ -193,15 +181,6 @@ def test_degenerate_caption_embedding_is_reported():
 
 
 # ---------------------------------------------------------------- distances
-
-def test_euclidean_fixture():
-    assert euclidean([0.0, 0.0], [3.0, 4.0]) == 5.0
-    assert euclidean([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 0.0
-    with pytest.raises(ValueError):
-        euclidean([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        euclidean([[1.0]], [[2.0]])
-
 
 def test_distance_stats_structure(tiny_model, tiny_dataset):
     stats = embedding_distances(tiny_model, tiny_dataset,

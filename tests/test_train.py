@@ -67,6 +67,8 @@ def test_best_epoch_is_last_argmax(run):
 
 def test_checkpoint_round_trip(run, tiny_dataset):
     result, out = run
+    # the DOVECP01 config block carries the retired threads line
+    assert b"\nthreads = 1\n" in (out / "checkpoint.bin").read_bytes()
     ckpt = load_checkpoint(result.checkpoint_path)
     assert ckpt.cfg == TrainConfig(**CFG)
     assert ckpt.d_in == tiny_dataset.msv.shape[2]
