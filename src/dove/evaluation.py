@@ -17,7 +17,7 @@ from . import autograd as ag
 from .autograd import no_grad
 from .config import TrainConfig, config_hash
 from .dataio import Dataset
-from .model import CaptionCode, ImageCode, Model
+from .model import ImageCodes, Model
 from .rng import PRNG_NAME
 
 REPORT_VERSION = 1
@@ -39,27 +39,24 @@ def _unit_rows(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
 
 
 def encode_images(model: Model, ds: Dataset,
-                  image_indices: list[int]) -> list[ImageCode]:
+                  image_indices: list[int]) -> ImageCodes:
     """Image codes; one whose V_M or V_MR cannot be scored raises."""
     with no_grad():
-        codes = [model.encode_image(ds.msv[i], ds.roi[i]) for i in image_indices]
-    if codes:
-        for attr in ("v_m", "v_mr"):
-            _unit_rows(np.stack([getattr(c, attr).data for c in codes]),
-                       "image", image_indices)
+        codes = model.encode_images([ds.msv[i] for i in image_indices],
+                                    [ds.roi[i] for i in image_indices])
+    for rows in (codes.v_m, codes.v_mr):
+        _unit_rows(rows.data, "image", image_indices)
     return codes
 
 
 def encode_captions(model: Model, ds: Dataset,
-                    caption_indices: list[int]) -> list[CaptionCode]:
-    """Caption codes; one whose T_G cannot be scored raises."""
+                    caption_indices: list[int]) -> ag.Tensor:
+    """(n, d) T_G rows; a caption whose T_G cannot be scored raises."""
     with no_grad():
-        codes = [model.encode_caption(ds.captions[k].token_ids)
-                 for k in caption_indices]
-    if codes:
-        _unit_rows(np.stack([c.t_g.data for c in codes]), "caption",
-                   caption_indices)
-    return codes
+        t_g = model.encode_captions([ds.captions[k].token_ids
+                                     for k in caption_indices])
+    _unit_rows(t_g.data, "caption", caption_indices)
+    return t_g
 
 
 @dataclass
@@ -77,8 +74,8 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
 
     Each score is the cosine of (V_MR, T_RG(i, j)), honoring the
     configured ablations, from ``Model.score_matrices``.  ``codes`` is
-    (image codes, caption codes) in the order of the two index lists;
-    when omitted they are encoded here.
+    (image codes, T_G rows) in the order of the two index lists; when
+    omitted they are encoded here.
     """
     if not image_indices or not caption_indices:
         raise ValueError("similarity_matrix needs nonempty query sets")
@@ -101,10 +98,9 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
 def _degenerate_guidance(model: Model, codes, image_indices: list[int],
                          caption_indices: list[int]) -> DegenerateEmbeddingError:
     """The error naming the first (image, caption) pair whose T_RG is zero."""
-    images, captions = codes
+    images, t_g = codes
     with no_grad():
-        guided = model.guided_text_rows(
-            images, ag.concat_rows(*(c.t_g for c in captions)))
+        guided = model.guided_text_rows(images.v_r, t_g)
     for i, t_rg in zip(image_indices, guided):
         try:
             _unit_rows(t_rg.data, "caption", caption_indices)
@@ -192,29 +188,26 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
     if codes is None:
         codes = (encode_images(model, ds, image_indices),
                  encode_captions(model, ds, caption_indices))
-    images, captions = codes
-    pair_images = [images[p] for p, _ in pairs]
-    pair_captions = [captions[c] for _, c in pairs]
+    images, t_g = codes
+    rows = [p for p, _ in pairs]
+    cols = [c for _, c in pairs]
     # every pair of one image takes its T_RG from one guidance call
     by_image: dict[int, list[int]] = {}
-    for n, (p, _) in enumerate(pairs):
+    for n, p in enumerate(rows):
         by_image.setdefault(p, []).append(n)
     t_rg = np.empty((len(pairs), model.cfg.d))
     with no_grad():
-        for p, rows in by_image.items():
-            t_g = ag.concat_rows(*(pair_captions[n].t_g for n in rows))
-            t_rg[rows] = model.guided_text_rows([images[p]], t_g)[0].data
+        for p, ns in by_image.items():
+            t_rg[ns] = model.guided_text_rows(
+                ag.row(images.v_r, p),
+                ag.constant(t_g.data[[cols[n] for n in ns]]))[0].data
 
-    image_ids = [image_indices[p] for p, _ in pairs]
-    caption_ids = [caption_indices[c] for _, c in pairs]
-
-    def unit(vectors, kind, ids):
-        return _unit_rows(np.stack([v.data for v in vectors]), kind, ids)
-
-    v_m = unit([im.v_m for im in pair_images], "v_m of image", image_ids)
-    v_r = unit([im.v_r for im in pair_images], "v_r of image", image_ids)
-    v_mr = unit([im.v_mr for im in pair_images], "v_mr of image", image_ids)
-    t_g = unit([c.t_g for c in pair_captions], "t_g of caption", caption_ids)
+    image_ids = [image_indices[p] for p in rows]
+    caption_ids = [caption_indices[c] for c in cols]
+    v_m = _unit_rows(images.v_m.data[rows], "v_m of image", image_ids)
+    v_r = _unit_rows(images.v_r.data[rows], "v_r of image", image_ids)
+    v_mr = _unit_rows(images.v_mr.data[rows], "v_mr of image", image_ids)
+    t_g = _unit_rows(t_g.data[cols], "t_g of caption", caption_ids)
     t_rg = _unit_rows(t_rg, "t_rg of caption", caption_ids)
     operands = {"v_mr__t_rg": (v_mr, t_rg), "v_m__t_g": (v_m, t_g),
                 "v_r__v_mr": (v_r, v_mr), "v_r__v_m": (v_r, v_m),

@@ -20,7 +20,6 @@ parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import autograd as ag
 from .autograd import Tensor
@@ -87,24 +86,9 @@ def register_dtga_params(reg: ParamRegistry, d: int, heads: int,
         reg.bias(f"{prefix}.decode.{name}", d)
 
 
-@dataclass
-class DtgaTrace:
-    """Branch internals, exposed so tests can check every stage."""
-    attended_a: Tensor   # self-attention of the first input
-    enhanced_a: Tensor   # attended_a + A
-    prob_b: Tensor       # probability mask derived from the second input
-    attended_b: Tensor
-    enhanced_b: Tensor
-    prob_a: Tensor
-    masked_ab: Tensor    # enhanced_a * prob_b
-    masked_ba: Tensor
-    combined: Tensor     # masked_ab + masked_ba
-    output: Tensor       # decoder(combined) + combined
-
-
 def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
-         prefix: str = "dtga") -> DtgaTrace:
-    """Dual-branch enhancement of the input pair (a, b)."""
+         prefix: str = "dtga") -> Tensor:
+    """Dual-branch enhancement of the input pair (a, b): the output rows."""
     att_a = gated_self_attention(a, reg, f"{prefix}.fwd.self_attn", heads)
     enh_a = ag.add(att_a, a)
     prob_b = _two_layer(gated_self_attention(b, reg, f"{prefix}.fwd.probe_attn",
@@ -120,10 +104,8 @@ def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
     masked_ba = ag.mul(enh_b, prob_a)
 
     combined = ag.add(masked_ab, masked_ba)
-    output = ag.add(_two_layer(combined, reg, f"{prefix}.decode", terminal="none"),
-                    combined)
-    return DtgaTrace(att_a, enh_a, prob_b, att_b, enh_b, prob_a,
-                     masked_ab, masked_ba, combined, output)
+    return ag.add(_two_layer(combined, reg, f"{prefix}.decode", terminal="none"),
+                  combined)
 
 
 def select_inputs(h_forward: Tensor, h_backward: Tensor,
@@ -148,4 +130,4 @@ def word_features(h_forward: Tensor, h_backward: Tensor, reg: ParamRegistry,
     if disabled:
         return ag.scale(ag.add(h_forward, h_backward), 0.5)
     a, b = select_inputs(h_forward, h_backward, mode)
-    return dtga(a, b, reg, heads, prefix).output
+    return dtga(a, b, reg, heads, prefix)

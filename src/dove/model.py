@@ -1,10 +1,10 @@
 """Full cross-modal model: encoders, fusion, guidance, and batch scores.
 
 One model instance owns a parameter registry shaped by its config (head
-kinds, ablation switches) plus the frozen embedding table.  Image rows
-and captions are encoded per sample; pair scores are cosines, assembled
-by ``Model.score_matrices`` into (images, captions) matrices for the two
-ranking branches:
+kinds, ablation switches) plus the frozen embedding table.  The encoders
+return codes as (n, d) tensors with one row per image or caption; pair
+scores are cosines between rows, assembled by ``Model.score_matrices``
+into (images, captions) matrices for the two ranking branches:
 
     S_global[i][j] = cos(V_M_i, T_G_j)
     S_final[i][j]  = cos(V_MR_i, T_RG(i, j))
@@ -30,19 +30,11 @@ from .params import ParamRegistry
 
 
 @dataclass
-class ImageCode:
-    f_m: Tensor    # (n_m, d) projected multiscale rows
-    f_r: Tensor    # (n_r, d) projected region rows
-    f_mr: Tensor   # fused rows
-    v_m: Tensor    # (d,) pooled multiscale embedding
-    v_r: Tensor    # (d,) pooled region embedding
-    v_mr: Tensor   # (d,) pooled fused embedding
-
-
-@dataclass
-class CaptionCode:
-    f_g: Tensor    # (n_tokens, d) word-level features
-    t_g: Tensor    # (d,) pooled text embedding
+class ImageCodes:
+    """Pooled codes of n images, one row per image."""
+    v_m: Tensor    # (n, d) multiscale codes
+    v_r: Tensor    # (n, d) region codes
+    v_mr: Tensor   # (n, d) fused codes
 
 
 class Model:
@@ -78,65 +70,73 @@ class Model:
 
     # ------------------------------------------------------------ encoders
 
-    def encode_image(self, msv: np.ndarray, roi: np.ndarray) -> ImageCode:
-        self.bind_feature_widths(msv.shape[1], roi.shape[1])
-        f_m = ve.msv_project(ag.constant(msv), self.reg)
-        f_r = ve.roi_project(ag.constant(roi), self.reg)
-        f_mr = roam.fuse_visual(f_m, f_r, self.reg, self.cfg.ifa_head,
-                                disabled=self.cfg.no_ifa)
-        return ImageCode(
-            f_m=f_m, f_r=f_r, f_mr=f_mr,
-            v_m=roam.pool(f_m), v_r=roam.pool(f_r), v_mr=roam.pool(f_mr),
-        )
+    def encode_images(self, msv, roi) -> ImageCodes:
+        """Codes of the images whose (rows, width) arrays pair up in order.
 
-    def encode_caption(self, token_ids: list[int]) -> CaptionCode:
-        e = te.embed_tokens(token_ids, self.embedding)
-        hidden = te.bigru(e, self.reg)
-        f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
-                               self.cfg.heads, mode=self.cfg.dtga_inputs,
-                               disabled=self.cfg.no_dtga)
-        return CaptionCode(f_g=f_g, t_g=roam.pool(f_g))
+        ``msv`` and ``roi`` may be (n, rows, width) arrays or sequences of
+        per-image arrays, such as views into the feature banks.
+        """
+        v_m, v_r, v_mr = [], [], []
+        for m, r in zip(msv, roi, strict=True):
+            self.bind_feature_widths(m.shape[1], r.shape[1])
+            f_m = ve.msv_project(ag.constant(m), self.reg)
+            f_r = ve.roi_project(ag.constant(r), self.reg)
+            f_mr = roam.fuse_visual(f_m, f_r, self.reg, self.cfg.ifa_head,
+                                    disabled=self.cfg.no_ifa)
+            v_m.append(roam.pool(f_m))
+            v_r.append(roam.pool(f_r))
+            v_mr.append(roam.pool(f_mr))
+        return ImageCodes(ag.concat_rows(*v_m), ag.concat_rows(*v_r),
+                          ag.concat_rows(*v_mr))
+
+    def encode_captions(self, token_lists: list[list[int]]) -> Tensor:
+        """(n, d) T_G rows, one per caption."""
+        rows = []
+        for token_ids in token_lists:
+            e = te.embed_tokens(token_ids, self.embedding)
+            hidden = te.bigru(e, self.reg)
+            f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
+                                   self.cfg.heads, mode=self.cfg.dtga_inputs,
+                                   disabled=self.cfg.no_dtga)
+            rows.append(roam.pool(f_g))
+        return ag.concat_rows(*rows)
 
     # ------------------------------------------------------- pair scoring
 
-    def guided_text_rows(self, images: list[ImageCode],
-                         t_g: Tensor) -> list[Tensor]:
-        """T_RG rows of each image against the (n, d) T_G rows ``t_g``.
+    def guided_text_rows(self, v_r: Tensor, t_g: Tensor) -> list[Tensor]:
+        """T_RG rows of each (n, d) region code against the T_G rows ``t_g``.
 
-        The text is projected once for all images.  With guidance ablated
+        Regions and text are each projected once.  With guidance ablated
         T_RG falls back to T_G, so every image gets ``t_g`` itself.
         """
+        n = v_r.data.shape[0]
         if self.cfg.no_iga:
-            return [t_g] * len(images)
+            return [t_g] * n
+        f_r_rows = roam.iga_transform_regions(v_r, self.reg)
         f_g_rows = roam.iga_transform_text(t_g, self.reg)
-        return [roam.iga_guide_rows(
-                    roam.iga_transform_regions(
-                        ag.reshape(im.v_r, (1, self.cfg.d)), self.reg),
-                    f_g_rows, self.reg, self.cfg.iga_head)
-                for im in images]
+        return [roam.iga_guide_rows(ag.row(f_r_rows, i), f_g_rows, self.reg,
+                                    self.cfg.iga_head)
+                for i in range(n)]
 
-    def score_matrices(self, images: list[ImageCode],
-                       captions: list[CaptionCode]) -> tuple[Tensor, Tensor]:
-        """(S_final, S_global) between every image and every caption.
+    def score_matrices(self, images: ImageCodes,
+                       t_g: Tensor) -> tuple[Tensor, Tensor]:
+        """(S_final, S_global) between every image and every T_G row.
 
         The only code that turns codes into scores: the training loss and
         evaluation both call it.  Each final score depends only on its own
         pair, so a block of the grid equals the grid of that block.
         """
-        v_m = ag.concat_rows(*(im.v_m for im in images))
-        t_g = ag.concat_rows(*(c.t_g for c in captions))
-        s_global = cosine_matrix(v_m, t_g)
+        s_global = cosine_matrix(images.v_m, t_g)
         s_final = ag.concat_rows(*(
-            cosine_matrix(ag.reshape(im.v_mr, (1, self.cfg.d)), t_rg)
-            for im, t_rg in zip(images, self.guided_text_rows(images, t_g))))
+            cosine_matrix(ag.row(images.v_mr, i), t_rg)
+            for i, t_rg in enumerate(self.guided_text_rows(images.v_r, t_g))))
         return s_final, s_global
 
     # ------------------------------------------------------------- losses
 
     def batch_losses(self, batch: Batch) -> tuple[Tensor, Tensor, Tensor]:
         """(total, final-branch, global-branch) loss over one batch."""
-        images = [self.encode_image(batch.msv[i], batch.roi[i])
-                  for i in range(len(batch.image_ids))]
-        captions = [self.encode_caption(ids) for ids in batch.captions]
-        s_final, s_global = self.score_matrices(images, captions)
+        s_final, s_global = self.score_matrices(
+            self.encode_images(batch.msv, batch.roi),
+            self.encode_captions(batch.captions))
         return total_loss(s_final, s_global, self.cfg.alpha, self.cfg.lambda_g)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autograd as ag
 from .batching import Split, gather_batch, split_dataset, training_batches
-from .config import TrainConfig, config_hash, config_to_text, parse_config_text
+from .config import (ConfigError, TrainConfig, config_hash, config_to_text,
+                     parse_config_text)
 from .dataio import Dataset
 from .evaluation import mean_recall, recall_block, similarity_matrix
 from .model import Model
@@ -166,11 +167,19 @@ class CheckpointFormatError(ValueError):
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint at ``path``.
+
+    The file is read once into one writable buffer; parameters and Adam
+    state are array views into it, so nothing is copied and the state can
+    be stepped in place.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+    blob = memoryview(buf)
     off = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(blob):
             raise CheckpointFormatError(f"{path}: truncated at byte {off}")
@@ -178,29 +187,31 @@ def load_checkpoint(path: str) -> Checkpoint:
         off += n
         return chunk
 
-    magic = take(8)
+    def array(shape: tuple) -> np.ndarray:
+        count = int(np.prod(shape))
+        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
+
+    magic = bytes(take(8))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
     (config_len,) = struct.unpack("<I", take(4))
-    cfg = parse_config_text(take(config_len).decode("utf-8")).validate()
+    try:
+        cfg = parse_config_text(str(take(config_len), "utf-8")).validate()
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"{path}: bad config block: {exc}") from exc
     d_in, d_r = struct.unpack("<II", take(8))
     (n_params,) = struct.unpack("<I", take(4))
     values: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = str(take(name_len), "utf-8")
         (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape))
-        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-        values[name] = arr
+        values[name] = array(struct.unpack(f"<{ndim}I", take(4 * ndim)))
     (t_step,) = struct.unpack("<Q", take(8))
     state = AdamState(t=t_step)
     for name, arr in values.items():
-        state.m[name] = np.frombuffer(take(8 * arr.size),
-                                      dtype="<f8").reshape(arr.shape).copy()
-        state.v[name] = np.frombuffer(take(8 * arr.size),
-                                      dtype="<f8").reshape(arr.shape).copy()
+        state.m[name] = array(arr.shape)
+        state.v[name] = array(arr.shape)
     if off != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - off} trailing bytes")
     return Checkpoint(cfg, d_in, d_r, values, state)

@@ -6,6 +6,7 @@ import pytest
 
 from dove.config import TrainConfig
 from dove.dataio import load_dataset
+from dove.model import Model
 from dove.synth import synth_dataset, write_dataset
 
 
@@ -22,6 +23,17 @@ def tiny_dataset_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_dataset_dir):
     return load_dataset(tiny_dataset_dir)
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tiny_dataset):
+    """A freshly initialised d=8 model bound to the tiny dataset."""
+    cfg = TrainConfig(d=8, heads=2, batch_size=2, epochs=1, seed=13,
+                      val_fraction=0.0)
+    model = Model(cfg, tiny_dataset.embedding)
+    model.bind_feature_widths(tiny_dataset.msv.shape[2],
+                              tiny_dataset.roi.shape[2])
+    return model
 
 
 @pytest.fixture()

@@ -112,7 +112,7 @@ def test_criterion_02_components_match_independent_oracles():
         register_dtga_params(reg, D, HEADS)
         a = rng.uniform(-1, 1, (3, D))
         b = rng.uniform(-1, 1, (3, D))
-        got = dtga(ag.constant(a), ag.constant(b), reg, HEADS).output.data
+        got = dtga(ag.constant(a), ag.constant(b), reg, HEADS).data
         assert np.allclose(got, oracles.dtga(a, b, snapshot(reg), HEADS),
                            atol=1e-12)
 
@@ -221,14 +221,14 @@ def test_criterion_07_order_and_scale_invariances(tiny_dataset):
     rng = np.random.default_rng(6)
 
     # region rows: pooled image code and its scores, bit for bit
-    captions = [model.encode_caption(ids) for ids in batch.captions]
+    t_g = model.encode_captions(batch.captions)
+    base = model.encode_images(batch.msv, batch.roi)
     for trial in range(3):
-        perm = rng.permutation(batch.roi.shape[1])
-        base = model.encode_image(batch.msv[0], batch.roi[0])
-        shuffled = model.encode_image(batch.msv[0], batch.roi[0][perm])
+        shuffled = model.encode_images(
+            batch.msv, [r[rng.permutation(len(r))] for r in batch.roi])
         assert np.array_equal(base.v_mr.data, shuffled.v_mr.data)
-        for got, want in zip(model.score_matrices([shuffled], captions),
-                             model.score_matrices([base], captions)):
+        for got, want in zip(model.score_matrices(shuffled, t_g),
+                             model.score_matrices(base, t_g)):
             assert np.array_equal(got.data, want.data)
 
     # batch order: total loss to 1e-12

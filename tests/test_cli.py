@@ -111,6 +111,19 @@ def test_config_asking_for_threads_is_a_usage_error(workspace, tmp_path,
     assert "'threads' is removed" in capsys.readouterr().err
 
 
+def test_eval_bad_checkpoint_config_is_a_format_error(workspace, tmp_path,
+                                                      capsys):
+    data, run = workspace
+    blob = (run / "checkpoint.bin").read_bytes()
+    assert blob.count(b"\nthreads = 1\n") == 1
+    bad = tmp_path / "bad-config.bin"
+    bad.write_bytes(blob.replace(b"\nthreads = 1\n", b"\nthreads = 2\n"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'threads' is removed" in err
+
+
 def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
     data, run = workspace
     report_path = tmp_path / "report.json"

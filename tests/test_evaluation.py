@@ -18,16 +18,6 @@ from dove.evaluation import (DegenerateEmbeddingError, SimilarityResult,
 from dove.model import Model
 
 
-@pytest.fixture(scope="module")
-def tiny_model(tiny_dataset):
-    cfg = TrainConfig(d=8, heads=2, batch_size=2, epochs=1, seed=13,
-                      val_fraction=0.0)
-    model = Model(cfg, tiny_dataset.embedding)
-    model.bind_feature_widths(tiny_dataset.msv.shape[2],
-                              tiny_dataset.roi.shape[2])
-    return model
-
-
 def cos(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
@@ -124,26 +114,27 @@ def test_final_scores_match_per_pair_cosines(tiny_model, tiny_dataset):
     # no_grad is a process-wide flag: scoring must leave gradients on
     assert ag.scale(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
     codes = encode_images(tiny_model, tiny_dataset, images)
-    ccodes = encode_captions(tiny_model, tiny_dataset, caps)
+    t_g = encode_captions(tiny_model, tiny_dataset, caps).data
     vals = {n: t.data for n, t in tiny_model.reg.tensors().items()}
-    for i, im in enumerate(codes):
-        for j, c in enumerate(ccodes):
-            t_rg = oracles.iga(im.v_r.data, c.t_g.data, vals,
+    for i in range(len(images)):
+        for j in range(len(caps)):
+            t_rg = oracles.iga(codes.v_r.data[i], t_g[j], vals,
                                tiny_model.cfg.iga_head)
-            assert abs(sim.scores[i, j] - cos(im.v_mr.data, t_rg)) < 1e-12
+            assert abs(sim.scores[i, j]
+                       - cos(codes.v_mr.data[i], t_rg)) < 1e-12
 
 
 def test_global_scores_match_pooled_cosines(tiny_model, tiny_dataset):
     images, caps = [1, 3], [2, 9, 14]
     codes = encode_images(tiny_model, tiny_dataset, images)
-    ccodes = encode_captions(tiny_model, tiny_dataset, caps)
+    t_g = encode_captions(tiny_model, tiny_dataset, caps)
     with ag.no_grad():
-        _, s_global = tiny_model.score_matrices(codes, ccodes)
+        _, s_global = tiny_model.score_matrices(codes, t_g)
     assert s_global.shape == (2, 3)
-    for i, im in enumerate(codes):
-        for j, c in enumerate(ccodes):
+    for i in range(len(images)):
+        for j in range(len(caps)):
             assert abs(s_global.data[i, j]
-                       - cos(im.v_m.data, c.t_g.data)) < 1e-12
+                       - cos(codes.v_m.data[i], t_g.data[j])) < 1e-12
 
 
 def test_similarity_columns_permute_with_captions(tiny_model, tiny_dataset):
@@ -277,13 +268,13 @@ def test_degenerate_guided_caption_names_caption_and_image(
 def test_report_encodes_each_caption_once(tiny_model, tiny_dataset,
                                           monkeypatch):
     encoded = []
-    original = Model.encode_caption
+    original = Model.encode_captions
 
-    def counting(self, token_ids):
-        encoded.append(list(token_ids))
-        return original(self, token_ids)
+    def counting(self, token_lists):
+        encoded.extend(list(ids) for ids in token_lists)
+        return original(self, token_lists)
 
-    monkeypatch.setattr(Model, "encode_caption", counting)
+    monkeypatch.setattr(Model, "encode_captions", counting)
     report = build_report(tiny_model, tiny_dataset,
                           list(range(tiny_dataset.n_images)), "all",
                           [("half", [0, 2, 4])], with_distances=True)

@@ -11,7 +11,7 @@ import pytest
 from dove.batching import split_dataset
 from dove.config import TrainConfig, config_hash
 from dove.evaluation import recall_block, similarity_matrix
-from dove.optimizer import NumericAbort, lr_at
+from dove.optimizer import BETA1, BETA2, NumericAbort, adam_step, lr_at
 from dove.train import (CheckpointFormatError, load_checkpoint,
                         model_from_checkpoint, save_checkpoint, train)
 
@@ -184,3 +184,20 @@ def test_checkpoint_values_are_copies(run, tiny_dataset):
         t.data += 1.0
     for name, arr in ckpt.values.items():
         assert np.array_equal(arr, stash[name])
+
+
+def test_loaded_state_takes_an_adam_step_in_place(run, tiny_dataset):
+    result, _ = run
+    ckpt = load_checkpoint(result.checkpoint_path)
+    model = model_from_checkpoint(ckpt, tiny_dataset)
+    before = copy.deepcopy(ckpt.state)
+    arrays = {name: (ckpt.state.m[name], ckpt.state.v[name])
+              for name in ckpt.values}
+    for t in model.reg.tensors().values():
+        t.grad = np.ones_like(t.data)
+    adam_step(model.reg, ckpt.state, 0.01)
+    assert ckpt.state.t == before.t + 1
+    for name, (m, v) in arrays.items():
+        assert ckpt.state.m[name] is m and ckpt.state.v[name] is v
+        assert np.array_equal(m, BETA1 * before.m[name] + (1.0 - BETA1))
+        assert np.array_equal(v, BETA2 * before.v[name] + (1.0 - BETA2))
