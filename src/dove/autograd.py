@@ -19,11 +19,11 @@ import numpy as np
 
 __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "no_grad",
-    "constant", "matmul", "transpose", "reshape", "row", "add", "sub",
-    "mul", "scale", "add_scalar", "add_bias", "scale_rows", "affine",
-    "sigmoid", "tanh", "relu", "softmax_rows", "mean_rows", "reduce_sum",
-    "concat_rows", "concat_cols", "normalize_rows", "take_diag",
-    "attend_rows", "grad_check",
+    "constant", "matmul", "transpose", "reshape", "row", "add", "mul",
+    "scale", "add_scalar", "add_bias", "scale_rows", "affine", "sigmoid",
+    "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat_rows",
+    "concat_cols", "normalize_rows", "take_diag", "attend_rows", "gru_scan",
+    "grad_check",
 ]
 
 
@@ -80,9 +80,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -299,19 +296,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = _result(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            if a.requires_grad:
-                _acc(a, g)
-            if b.requires_grad:
-                _acc(b, -g)
-        out._bw = bw
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     out = _result(a.data * b.data, (a, b))
@@ -397,25 +381,18 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
 
 # -------------------------------------------------------------- activations
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid_values(d: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid_values(x.data)
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
             _acc(x, g * y * (1.0 - y))
-        out._bw = bw
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = _result(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(x, g * (1.0 - y * y))
         out._bw = bw
     return out
 
@@ -460,6 +437,81 @@ def normalize_rows(x: Tensor) -> Tensor:
         def bw(g):
             inner = (g * y).sum(axis=1, keepdims=True)
             _acc(x, (g - inner * y) / norms)
+        out._bw = bw
+    return out
+
+
+# ---------------------------------------------------------------- recurrence
+
+def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
+             u_h: Tensor, reverse: bool) -> Tensor:
+    """One GRU direction over (n, d) input projections, as one graph node.
+
+    Row t of ``x_z``, ``x_r`` and ``x_h`` is token t's input-side
+    pre-activation of each gate; ``u_*`` are the (d, d) recurrent maps.
+    From h = 0, each step in scan order (end to start when ``reverse``)
+    computes
+
+        z = sigmoid(x_z[t] + h U_z)     r = sigmoid(x_r[t] + h U_r)
+        c = tanh(x_h[t] + (r * h) U_h)  h <- h + z * (c - h)
+
+    on (1, d) rows, and row t of the output is the h that step t produced.
+    The backward pass is hand-written BPTT: one walk in reverse scan order
+    collects the pre-activation gradients as (n, d) rows, which are the
+    gradients of ``x_*``, and then each U gradient is a single product.
+    """
+    xs, us = (x_z, x_r, x_h), (u_z, u_r, u_h)
+    shape = x_z.data.shape
+    if (len(shape) != 2 or shape[0] == 0
+            or any(x.data.shape != shape for x in xs)
+            or any(u.data.shape != (shape[1], shape[1]) for u in us)):
+        raise DimensionError(
+            f"gru_scan expects three (n,d) projections and three (d,d) maps; "
+            f"got {[t.data.shape for t in xs + us]}")
+    n, d = shape
+    out = _result(np.empty((n, d)), xs + us)
+    keep = out.requires_grad
+    if keep:  # per-step h_{t-1}, z, r and c, by token position
+        h_prev, zs, rs, cs = (np.empty((n, d)) for _ in range(4))
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    h = np.zeros((1, d))
+    for t in steps:
+        z = _sigmoid_values(x_z.data[t:t + 1] + h @ u_z.data)
+        r = _sigmoid_values(x_r.data[t:t + 1] + h @ u_r.data)
+        c = np.tanh(x_h.data[t:t + 1] + (r * h) @ u_h.data)
+        if keep:
+            h_prev[t], zs[t], rs[t], cs[t] = h[0], z[0], r[0], c[0]
+        h = h + z * (c - h)
+        out.data[t] = h[0]
+    if keep:
+        def bw(g):
+            # dh_t (the gradient reaching step t's output) enters
+            #   dA_z = dh_t (c - h_prev) z (1 - z)     dA_h = dh_t z (1 - c^2)
+            #   dA_r = (dA_h U_h^T) h_prev r (1 - r)
+            # and passes to the step before as
+            #   dh_t (1 - z) + dA_z U_z^T + dA_r U_r^T + (dA_h U_h^T) r
+            k_z = (cs - h_prev) * zs * (1.0 - zs)
+            k_h = zs * (1.0 - cs * cs)
+            k_r = h_prev * rs * (1.0 - rs)
+            carry = 1.0 - zs
+            uz_t, ur_t, uh_t = u_z.data.T, u_r.data.T, u_h.data.T
+            da_z, da_r, da_h = (np.empty((n, d)) for _ in range(3))
+            dh = np.zeros(d)
+            for t in reversed(steps):
+                dh = dh + g[t]
+                da_z[t] = dh * k_z[t]
+                da_h[t] = dh * k_h[t]
+                dq = da_h[t] @ uh_t
+                da_r[t] = dq * k_r[t]
+                dh = (dh * carry[t] + da_z[t] @ uz_t + da_r[t] @ ur_t
+                      + dq * rs[t])
+            for x, da in zip(xs, (da_z, da_r, da_h)):
+                if x.requires_grad:
+                    _acc(x, da)
+            for u, inp, da in ((u_z, h_prev, da_z), (u_r, h_prev, da_r),
+                               (u_h, rs * h_prev, da_h)):
+                if u.requires_grad:
+                    _acc(u, inp.T @ da)
         out._bw = bw
     return out
 

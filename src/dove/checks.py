@@ -49,7 +49,6 @@ def primitive_gradcheck(seed: int = 0) -> float:
     x = Tensor(_rand(stream, 3, 4), requires_grad=True)
     y = Tensor(_rand(stream, 3, 4), requires_grad=True)
     check({"x": x, "y": y}, lambda: ag.add(x, y))
-    check({"x": x, "y": y}, lambda: ag.sub(x, y))
     check({"x": x, "y": y}, lambda: ag.mul(x, y))
     check({"x": x}, lambda: ag.scale(x, -1.7))
     check({"x": x}, lambda: ag.add_scalar(x, 0.3))
@@ -67,7 +66,6 @@ def primitive_gradcheck(seed: int = 0) -> float:
     check({"x": x, "s": s}, lambda: ag.scale_rows(x, s))
 
     check({"x": x}, lambda: ag.sigmoid(x))
-    check({"x": x}, lambda: ag.tanh(x))
     check({"x": x}, lambda: ag.relu(x))
     check({"x": x}, lambda: ag.softmax_rows(x))
     check({"x": x}, lambda: ag.normalize_rows(x))
@@ -76,6 +74,14 @@ def primitive_gradcheck(seed: int = 0) -> float:
 
     sq = Tensor(_rand(stream, 4, 4), requires_grad=True)
     check({"s": sq}, lambda: ag.take_diag(sq))
+
+    # 4 steps, so every U gradient sums terms carried across steps
+    gates = {f"x_{g}": Tensor(_rand(stream, 4, 3), requires_grad=True)
+             for g in "zrh"}
+    gates.update({f"u_{g}": Tensor(_rand(stream, 3, 3), requires_grad=True)
+                  for g in "zrh"})
+    for reverse in (False, True):
+        check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse))
     return worst
 
 

@@ -73,7 +73,7 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
     """Pairwise final-score grid between images and captions.
 
     Each score is the cosine of (V_MR, T_RG(i, j)), honoring the
-    configured ablations, from ``Model.score_matrices``.  ``codes`` is
+    configured ablations, from ``Model.final_scores``.  ``codes`` is
     (image codes, T_G rows) in the order of the two index lists; when
     omitted they are encoded here.
     """
@@ -84,7 +84,7 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
                  encode_captions(model, ds, caption_indices))
     try:
         with no_grad():
-            s_final, _ = model.score_matrices(*codes)
+            s_final = model.final_scores(*codes)
     except ag.DegenerateVectorError as exc:
         # the encoders reject degenerate V_M, V_MR and T_G: this is T_RG
         raise _degenerate_guidance(model, codes, image_indices,

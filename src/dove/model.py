@@ -4,7 +4,8 @@ One model instance owns a parameter registry shaped by its config (head
 kinds, ablation switches) plus the frozen embedding table.  The encoders
 return codes as (n, d) tensors with one row per image or caption; pair
 scores are cosines between rows, assembled by ``Model.score_matrices``
-into (images, captions) matrices for the two ranking branches:
+into (images, captions) matrices for the two ranking branches (evaluation
+builds only the final one, with ``Model.final_scores``):
 
     S_global[i][j] = cos(V_M_i, T_G_j)
     S_final[i][j]  = cos(V_MR_i, T_RG(i, j))
@@ -38,14 +39,17 @@ class ImageCodes:
 
 
 class Model:
-    def __init__(self, cfg: TrainConfig, embedding: np.ndarray):
+    def __init__(self, cfg: TrainConfig, embedding: np.ndarray,
+                 values: dict[str, np.ndarray] | None = None):
+        """``values`` restores every parameter, as from a checkpoint, in
+        place of drawing its initial value (see ``ParamRegistry``)."""
         cfg.validate()
         if embedding.ndim != 2 or embedding.shape[1] != te.EMBED_DIM:
             raise ValueError(f"embedding table must be (vocab, {te.EMBED_DIM}), "
                              f"got {embedding.shape}")
         self.cfg = cfg
         self.embedding = np.asarray(embedding, dtype=np.float64)
-        self.reg = ParamRegistry(cfg.seed)
+        self.reg = ParamRegistry(cfg.seed, values)
         self.d_in = None   # fixed on first image batch
         self.d_r = None
 
@@ -67,6 +71,7 @@ class Model:
             roam.register_ifa_params(self.reg, cfg.d, cfg.ifa_head)
         if not cfg.no_iga:
             roam.register_iga_params(self.reg, cfg.d, cfg.iga_head)
+        self.reg.check_complete()
 
     # ------------------------------------------------------------ encoders
 
@@ -118,19 +123,21 @@ class Model:
                                     self.cfg.iga_head)
                 for i in range(n)]
 
-    def score_matrices(self, images: ImageCodes,
-                       t_g: Tensor) -> tuple[Tensor, Tensor]:
-        """(S_final, S_global) between every image and every T_G row.
+    def final_scores(self, images: ImageCodes, t_g: Tensor) -> Tensor:
+        """S_final between every image and every T_G row.
 
-        The only code that turns codes into scores: the training loss and
-        evaluation both call it.  Each final score depends only on its own
-        pair, so a block of the grid equals the grid of that block.
+        The only code that turns codes into final scores: the training
+        loss and evaluation both call it.  Each score depends only on its
+        own pair, so a block of the grid equals the grid of that block.
         """
-        s_global = cosine_matrix(images.v_m, t_g)
-        s_final = ag.concat_rows(*(
+        return ag.concat_rows(*(
             cosine_matrix(ag.row(images.v_mr, i), t_rg)
             for i, t_rg in enumerate(self.guided_text_rows(images.v_r, t_g))))
-        return s_final, s_global
+
+    def score_matrices(self, images: ImageCodes,
+                       t_g: Tensor) -> tuple[Tensor, Tensor]:
+        """(S_final, S_global), the two grids the training loss ranks."""
+        return self.final_scores(images, t_g), cosine_matrix(images.v_m, t_g)
 
     # ------------------------------------------------------------- losses
 

@@ -3,7 +3,8 @@
 Initial values are a pure function of (init spec, seed, name): each entry
 draws from its own splitmix64 stream keyed by the parameter name, so the
 order in which modules register parameters can never shift another
-entry's initialization.
+entry's initialization.  A registry restoring a checkpoint takes each
+value from the checkpoint at registration and draws nothing.
 """
 from __future__ import annotations
 
@@ -43,16 +44,26 @@ def init_values(name: str, shape: tuple[int, ...], init_spec: str, seed: int) ->
 
 
 class ParamRegistry:
-    """Insertion-ordered mapping of parameter names to tensors."""
+    """Insertion-ordered mapping of parameter names to tensors.
 
-    def __init__(self, seed: int):
+    With ``values`` (name -> array), every registration copies its value
+    from there instead of drawing an initial one; ``check_complete`` then
+    rejects the values no registration took.
+    """
+
+    def __init__(self, seed: int, values: dict[str, np.ndarray] | None = None):
         self.seed = seed
         self._entries: dict[str, ParamEntry] = {}
+        self._given = None if values is None else dict(values)
 
     def register(self, name: str, shape: tuple[int, ...], init_spec: str) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(init_values(name, shape, init_spec, self.seed), requires_grad=True)
+        if self._given is None:
+            data = init_values(name, shape, init_spec, self.seed)
+        else:
+            data = self._take(name, shape)
+        t = Tensor(data, requires_grad=True)
         self._entries[name] = ParamEntry(name, t, init_spec)
         return t
 
@@ -84,16 +95,15 @@ class ParamRegistry:
         for e in self._entries.values():
             e.tensor.grad = None
 
-    def load_values(self, values: dict[str, np.ndarray]):
-        """Overwrite entry data in place (checkpoint restore)."""
-        missing = set(self._entries) - set(values)
-        extra = set(values) - set(self._entries)
-        if missing or extra:
-            raise ValueError(f"parameter set mismatch: missing={sorted(missing)} "
-                             f"extra={sorted(extra)}")
-        for name, arr in values.items():
-            t = self._entries[name].tensor
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{t.data.shape} vs {arr.shape}")
-            t.data = np.asarray(arr, dtype=np.float64).copy()
+    def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in self._given:
+            raise ValueError(f"parameter set mismatch: missing {name!r}")
+        arr = self._given.pop(name)
+        if arr.shape != shape:
+            raise ValueError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
+        return np.array(arr, dtype=np.float64)  # a copy: never alias the source
+
+    def check_complete(self):
+        """Reject given values that no registration took."""
+        if self._given:
+            raise ValueError(f"parameter set mismatch: extra {sorted(self._given)}")

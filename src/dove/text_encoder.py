@@ -10,7 +10,11 @@ the math.  Both GRU directions share the structure
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
 with h_0 = 0.  The backward direction scans the caption end-to-start and
-stores its state at the position it just consumed.
+stores its state at the position it just consumed.  Each direction
+projects the caption through its W maps in one product, then runs the
+recurrence as one fused graph node (``autograd.gru_scan``) whose
+backward pass is hand-written backpropagation through time, so the
+graph does not grow with caption length.
 """
 from __future__ import annotations
 
@@ -56,24 +60,12 @@ def embed_tokens(token_ids: list[int], table: np.ndarray) -> Tensor:
 
 
 def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool) -> Tensor:
-    n, d = e.data.shape[0], reg[f"{prefix}.b_z"].data.shape[0]
     # project the whole caption through the input-side maps in one shot
-    xz = ag.affine(e, reg[f"{prefix}.w_z"], reg[f"{prefix}.b_z"])
-    xr = ag.affine(e, reg[f"{prefix}.w_r"], reg[f"{prefix}.b_r"])
-    xh = ag.affine(e, reg[f"{prefix}.w_h"], reg[f"{prefix}.b_h"])
-    u_z, u_r, u_h = reg[f"{prefix}.u_z"], reg[f"{prefix}.u_r"], reg[f"{prefix}.u_h"]
-
-    h = ag.constant(np.zeros((1, d)))
-    rows: list[Tensor | None] = [None] * n
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    for t in steps:
-        z = ag.sigmoid(ag.add(ag.row(xz, t), ag.matmul(h, u_z)))
-        r = ag.sigmoid(ag.add(ag.row(xr, t), ag.matmul(h, u_r)))
-        c = ag.tanh(ag.add(ag.row(xh, t), ag.matmul(ag.mul(r, h), u_h)))
-        # h <- h + z * (c - h)
-        h = ag.add(h, ag.mul(z, ag.sub(c, h)))
-        rows[t] = h
-    return ag.concat_rows(*rows)
+    x_z = ag.affine(e, reg[f"{prefix}.w_z"], reg[f"{prefix}.b_z"])
+    x_r = ag.affine(e, reg[f"{prefix}.w_r"], reg[f"{prefix}.b_r"])
+    x_h = ag.affine(e, reg[f"{prefix}.w_h"], reg[f"{prefix}.b_h"])
+    return ag.gru_scan(x_z, x_r, x_h, reg[f"{prefix}.u_z"],
+                       reg[f"{prefix}.u_r"], reg[f"{prefix}.u_h"], reverse)
 
 
 def bigru(e: Tensor, reg: ParamRegistry, prefix: str = "text.gru") -> HiddenStates:

@@ -218,7 +218,6 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, ds: Dataset) -> Model:
-    model = Model(ckpt.cfg, ds.embedding)
+    model = Model(ckpt.cfg, ds.embedding, values=ckpt.values)
     model.bind_feature_widths(ckpt.d_in, ckpt.d_r)
-    model.reg.load_values(ckpt.values)
     return model

@@ -39,7 +39,12 @@ def test_matmul_hand_gradients():
 def test_activation_values():
     assert ag.sigmoid(_param([0.0])).data[0] == 0.5
     assert abs(ag.sigmoid(_param([math.log(3.0)])).data[0] - 0.75) < 1e-12
-    assert ag.tanh(_param([0.0])).data[0] == 0.0
+    # one GRU step from h = 0 is sigmoid(x_z) * tanh(x_h)
+    zero = _param([[0.0]])
+    assert ag.gru_scan(zero, zero, zero, zero, zero, zero, False).data[0, 0] == 0.0
+    half = ag.gru_scan(zero, zero, _param([[math.atanh(0.5)]]), zero, zero,
+                       zero, False)
+    assert abs(half.data[0, 0] - 0.25) < 1e-12
     assert np.array_equal(ag.relu(_param([-2.0, 3.0])).data, [0.0, 3.0])
 
 
@@ -63,6 +68,28 @@ def test_mean_rows_hand_values():
     r = np.array([0.25, -1.0, 2.0])
     same = ag.mean_rows(_param(np.stack([r, r, r, r])))
     assert np.allclose(same.data, r, atol=1e-12)
+
+
+def _gru_operands(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    return ([_param(rng.uniform(-1, 1, (n, d))) for _ in range(3)]
+            + [_param(rng.uniform(-1, 1, (d, d))) for _ in range(3)])
+
+
+def test_gru_scan_rejects_mismatched_shapes():
+    good = _gru_operands(3, 2)
+    assert ag.gru_scan(*good, False).data.shape == (3, 2)
+    bad_cases = [
+        [good[0], _param(np.zeros((4, 2)))] + good[2:],   # projection length
+        good[:2] + [_param(np.zeros((3, 3)))] + good[3:],  # projection width
+        good[:4] + [_param(np.zeros((3, 2)))] + good[5:],  # non-square U
+        good[:5] + [_param(np.zeros((3, 3)))],             # U of another width
+        [_param(np.zeros(2))] * 3 + good[3:],             # rank-1 projections
+        [_param(np.zeros((0, 2)))] * 3 + good[3:],        # no tokens
+    ]
+    for operands in bad_cases:
+        with pytest.raises(DimensionError):
+            ag.gru_scan(*operands, False)
 
 
 def test_concat_rows_shapes():
@@ -169,8 +196,15 @@ def test_mul_gradient_is_other_factor(seed):
 
 def test_bounded_ops_stay_finite():
     x = _param([[700.0, -700.0, 50.0]])
-    for op in (ag.sigmoid, ag.tanh, ag.softmax_rows):
+    for op in (ag.sigmoid, ag.softmax_rows):
         assert np.all(np.isfinite(op(x).data))
+    proj = _param([[700.0, -700.0, 50.0], [-700.0, 700.0, -50.0]])
+    u = _param(np.full((3, 3), 700.0))
+    for reverse in (False, True):
+        out = ag.gru_scan(proj, proj, proj, u, u, u, reverse)
+        ag.reduce_sum(out).backward()
+        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(u.grad)) and np.all(np.isfinite(proj.grad))
 
 
 def test_gradients_accumulate_across_uses():

@@ -282,6 +282,28 @@ def test_report_encodes_each_caption_once(tiny_model, tiny_dataset,
     assert encoded == [rec.token_ids for rec in tiny_dataset.captions]
 
 
+def test_report_never_normalises_v_m(tiny_model, tiny_dataset, monkeypatch):
+    # V_M feeds only the global grid, which training ranks and eval does not
+    v_m, normalised = [], []
+    encode, normalize = Model.encode_images, ag.normalize_rows
+
+    def keeping_v_m(self, msv, roi):
+        codes = encode(self, msv, roi)
+        v_m.append(codes.v_m)
+        return codes
+
+    def recording(x):
+        normalised.append(x)
+        return normalize(x)
+
+    monkeypatch.setattr(Model, "encode_images", keeping_v_m)
+    monkeypatch.setattr(ag, "normalize_rows", recording)
+    build_report(tiny_model, tiny_dataset, list(range(tiny_dataset.n_images)),
+                 "all", [("half", [0, 2, 4])], with_distances=True)
+    assert v_m and normalised
+    assert not any(x is code for x in normalised for code in v_m)
+
+
 def test_load_subset_file(tmp_path):
     path = tmp_path / "subset.txt"
     path.write_text("3\n\n1\n4\n", encoding="utf-8")

@@ -87,27 +87,32 @@ def test_zero_grad_clears_gradients():
     assert w.grad is None
 
 
-def test_load_values_round_trip_and_mismatches():
-    reg = ParamRegistry(seed=4)
+def _register_pair(reg):
     reg.matrix("a.w", 3, 3)
     reg.bias("a.b", 3)
+    reg.check_complete()
+    return reg
+
+
+def test_given_values_round_trip_and_mismatches():
     values = {"a.w": np.full((3, 3), 2.0), "a.b": np.arange(3.0)}
-    reg.load_values(values)
+    reg = _register_pair(ParamRegistry(seed=4, values=values))
+    assert reg.names() == ["a.w", "a.b"]
     assert np.array_equal(reg["a.w"].data, values["a.w"])
     assert np.array_equal(reg["a.b"].data, values["a.b"])
 
-    with pytest.raises(ValueError):
-        reg.load_values({"a.w": np.zeros((3, 3))})  # missing a.b
-    with pytest.raises(ValueError):
-        reg.load_values(dict(values, extra=np.zeros(2)))
-    with pytest.raises(ValueError):
-        reg.load_values({"a.w": np.zeros((2, 3)), "a.b": np.zeros(3)})
+    with pytest.raises(ValueError, match="missing 'a.b'"):
+        _register_pair(ParamRegistry(4, {"a.w": np.zeros((3, 3))}))
+    with pytest.raises(ValueError, match="extra"):
+        _register_pair(ParamRegistry(4, dict(values, extra=np.zeros(2))))
+    with pytest.raises(ValueError, match="for a.w"):
+        _register_pair(ParamRegistry(4, {"a.w": np.zeros((2, 3)),
+                                         "a.b": np.zeros(3)}))
 
 
-def test_load_values_copies_data():
-    reg = ParamRegistry(seed=4)
-    reg.bias("a.b", 2)
+def test_given_values_are_copied():
     src = np.array([1.0, 2.0])
-    reg.load_values({"a.b": src})
+    reg = ParamRegistry(seed=4, values={"a.b": src})
+    reg.bias("a.b", 2)
     src[0] = 99.0
     assert reg["a.b"].data[0] == 1.0

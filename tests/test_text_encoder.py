@@ -91,3 +91,36 @@ def test_gradients_flow_to_every_gate():
     for name, t in reg.tensors().items():
         assert t.grad is not None, name
         assert np.any(t.grad != 0.0), name
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gru_scan_matches_oracle_direction(seed):
+    reg, vals = fresh(seed + 20)
+    e = np.random.default_rng(seed).uniform(-1, 1, (3 + seed, EMBED_DIM))
+    for direction, reverse in (("fwd", False), ("bwd", True)):
+        p = f"text.gru.{direction}"
+        x = [ag.affine(ag.constant(e), reg[f"{p}.w_{g}"], reg[f"{p}.b_{g}"])
+             for g in ("z", "r", "h")]
+        got = ag.gru_scan(*x, *(reg[f"{p}.u_{g}"] for g in ("z", "r", "h")),
+                          reverse=reverse)
+        want = oracles.gru_direction(e, vals, p, reverse)
+        assert np.allclose(got.data, want, rtol=0.0, atol=1e-12)
+
+
+def _graph_size(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_direction_graph_size_does_not_grow_with_caption_length():
+    reg, _ = fresh(5)
+    rng = np.random.default_rng(3)
+    sizes = {n: _graph_size(bigru(ag.constant(rng.uniform(-1, 1, (n, EMBED_DIM))),
+                                  reg).forward)
+             for n in (3, 15)}
+    assert sizes[3] == sizes[15]

@@ -8,9 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from dove import params
 from dove.batching import split_dataset
 from dove.config import TrainConfig, config_hash
 from dove.evaluation import recall_block, similarity_matrix
+from dove.model import Model
 from dove.optimizer import BETA1, BETA2, NumericAbort, adam_step, lr_at
 from dove.train import (CheckpointFormatError, load_checkpoint,
                         model_from_checkpoint, save_checkpoint, train)
@@ -184,6 +186,26 @@ def test_checkpoint_values_are_copies(run, tiny_dataset):
         t.data += 1.0
     for name, arr in ckpt.values.items():
         assert np.array_equal(arr, stash[name])
+
+
+def test_loading_draws_no_initial_values(run, tiny_dataset, monkeypatch):
+    result, _ = run
+    ckpt = load_checkpoint(result.checkpoint_path)
+    drawn = []
+    real = params.init_values
+    monkeypatch.setattr(params, "init_values",
+                        lambda *args: drawn.append(args) or real(*args))
+    model = model_from_checkpoint(ckpt, tiny_dataset)
+    assert drawn == []
+    # the tensors a fresh model would have been overwritten with, in order
+    fresh = Model(ckpt.cfg, tiny_dataset.embedding)
+    fresh.bind_feature_widths(ckpt.d_in, ckpt.d_r)
+    assert drawn
+    assert model.reg.names() == fresh.reg.names()
+    for name, t in model.reg.tensors().items():
+        assert t.requires_grad and t.data.dtype == np.float64
+        assert np.array_equal(t.data, ckpt.values[name])
+        assert not np.shares_memory(t.data, ckpt.values[name])
 
 
 def test_loaded_state_takes_an_adam_step_in_place(run, tiny_dataset):
