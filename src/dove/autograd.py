@@ -32,7 +32,17 @@ class DimensionError(ValueError):
 
 
 class DegenerateVectorError(ValueError):
-    """A vector that must have nonzero length is numerically zero."""
+    """A vector that must have nonzero length is numerically zero.
+
+    ``row`` is the first such row of the operand; a caller that knows
+    more may name the operand further, as ``Model.final_scores`` sets
+    ``image``, the image whose guided block held it.
+    """
+
+    def __init__(self, row: int):
+        super().__init__(f"row {row} has near-zero norm")
+        self.row = row
+        self.image = None
 
 
 _grad_enabled = True
@@ -77,12 +87,6 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError("item() requires a size-1 tensor")
         return float(self.data.reshape(-1)[0])
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -428,9 +432,9 @@ def normalize_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("normalize_rows expects a rank-2 tensor")
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
-    if np.any(norms < 1e-12):
-        bad = int(np.argmin(norms))
-        raise DegenerateVectorError(f"row {bad} has near-zero norm")
+    bad = norms[:, 0] < 1e-12  # the engine's one test for a near-zero vector
+    if bad.any():
+        raise DegenerateVectorError(int(np.argmax(bad)))
     y = x.data / norms
     out = _result(y, (x,))
     if out.requires_grad:

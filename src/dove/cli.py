@@ -114,11 +114,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _load_split(args):
+    """(dataset, model, image indices) for a checkpoint's ``--split``."""
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     model = model_from_checkpoint(ckpt, ds)
-    images = _split_images(ds, ckpt.cfg, args.split)
+    return ds, model, _split_images(ds, ckpt.cfg, args.split)
+
+
+def cmd_eval(args) -> int:
+    ds, model, images = _load_split(args)
     subsets = [(path, load_subset_file(path)) for path in args.subset or ()]
     report = build_report(model, ds, images, args.split, subsets,
                           with_distances=not args.no_distances)
@@ -131,10 +136,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data)
-    model = model_from_checkpoint(ckpt, ds)
-    images = _split_images(ds, ckpt.cfg, args.split)
+    ds, model, images = _load_split(args)
     stats = embedding_distances(model, ds, images)
     for key in sorted(stats):
         s = stats[key]

@@ -9,7 +9,7 @@ Recalls are percentages in [0, 100]; mR is the mean of the six recalls.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,13 +29,11 @@ class DegenerateEmbeddingError(ValueError):
 
 
 def _unit_rows(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    bad = norms < 1e-12
-    if bad.any():
-        which = ids[int(np.argmax(bad))]
+    try:
+        return ag.normalize_rows(ag.constant(rows)).data
+    except ag.DegenerateVectorError as exc:
         raise DegenerateEmbeddingError(
-            f"{kind} {which} has a near-zero embedding")
-    return rows / norms[:, None]
+            f"{kind} {ids[exc.row]} has a near-zero embedding") from None
 
 
 def encode_images(model: Model, ds: Dataset,
@@ -87,26 +85,13 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
             s_final = model.final_scores(*codes)
     except ag.DegenerateVectorError as exc:
         # the encoders reject degenerate V_M, V_MR and T_G: this is T_RG
-        raise _degenerate_guidance(model, codes, image_indices,
-                                   caption_indices) from exc
+        raise DegenerateEmbeddingError(
+            f"caption {caption_indices[exc.row]} has a near-zero embedding "
+            f"when guided by image {image_indices[exc.image]}") from exc
     text_to_image = np.array([ds.captions[k].image_index
                               for k in caption_indices], dtype=np.int64)
     return SimilarityResult(s_final.data, list(image_indices),
                             list(caption_indices), text_to_image)
-
-
-def _degenerate_guidance(model: Model, codes, image_indices: list[int],
-                         caption_indices: list[int]) -> DegenerateEmbeddingError:
-    """The error naming the first (image, caption) pair whose T_RG is zero."""
-    images, t_g = codes
-    with no_grad():
-        guided = model.guided_text_rows(images.v_r, t_g)
-    for i, t_rg in zip(image_indices, guided):
-        try:
-            _unit_rows(t_rg.data, "caption", caption_indices)
-        except DegenerateEmbeddingError as exc:
-            return DegenerateEmbeddingError(f"{exc} when guided by image {i}")
-    return DegenerateEmbeddingError("a guided caption embedding is degenerate")
 
 
 # ----------------------------------------------------------------- recalls
@@ -198,9 +183,10 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
     t_rg = np.empty((len(pairs), model.cfg.d))
     with no_grad():
         for p, ns in by_image.items():
-            t_rg[ns] = model.guided_text_rows(
+            (block,) = model.guided_text_rows(
                 ag.row(images.v_r, p),
-                ag.constant(t_g.data[[cols[n] for n in ns]]))[0].data
+                ag.constant(t_g.data[[cols[n] for n in ns]]))
+            t_rg[ns] = block.data
 
     image_ids = [image_indices[p] for p in rows]
     caption_ids = [caption_indices[c] for c in cols]
@@ -237,18 +223,8 @@ class RetrievalReport:
     distances: dict | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "report_version": REPORT_VERSION,
-            "prng": PRNG_NAME,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "split": self.split,
-            "n_images": self.n_images,
-            "n_texts": self.n_texts,
-            "full": self.full,
-            "subsets": self.subsets,
-            "distances": self.distances,
-        }
+        payload = {**asdict(self), "report_version": REPORT_VERSION,
+                   "prng": PRNG_NAME}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -23,7 +23,7 @@ import math
 
 from . import autograd as ag
 from .autograd import Tensor
-from .params import ParamRegistry
+from .params import ParamRegistry, two_layer
 
 BRANCHES = ("fwd", "bwd")
 
@@ -62,13 +62,12 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
     return out
 
 
-def _two_layer(x: Tensor, reg: ParamRegistry, prefix: str,
-               terminal: str) -> Tensor:
-    h = ag.relu(ag.affine(x, reg[f"{prefix}.w1"], reg[f"{prefix}.b1"]))
-    y = ag.affine(h, reg[f"{prefix}.w2"], reg[f"{prefix}.b2"])
-    if terminal == "sigmoid":
-        return ag.sigmoid(y)
-    return y
+def _register_map(reg: ParamRegistry, prefix: str, d: int):
+    # w1, w2, b1, b2: this order fixes the checkpoint bytes
+    for name in ("w1", "w2"):
+        reg.matrix(f"{prefix}.{name}", d, d)
+    for name in ("b1", "b2"):
+        reg.bias(f"{prefix}.{name}", d)
 
 
 def register_dtga_params(reg: ParamRegistry, d: int, heads: int,
@@ -76,36 +75,25 @@ def register_dtga_params(reg: ParamRegistry, d: int, heads: int,
     for branch in BRANCHES:
         register_ga_params(reg, f"{prefix}.{branch}.self_attn", d, heads)
         register_ga_params(reg, f"{prefix}.{branch}.probe_attn", d, heads)
-        for name in ("w1", "w2"):
-            reg.matrix(f"{prefix}.{branch}.prob.{name}", d, d)
-        for name in ("b1", "b2"):
-            reg.bias(f"{prefix}.{branch}.prob.{name}", d)
-    for name in ("w1", "w2"):
-        reg.matrix(f"{prefix}.decode.{name}", d, d)
-    for name in ("b1", "b2"):
-        reg.bias(f"{prefix}.decode.{name}", d)
+        _register_map(reg, f"{prefix}.{branch}.prob", d)
+    _register_map(reg, f"{prefix}.decode", d)
+
+
+def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
+            heads: int) -> Tensor:
+    """``x`` self-attended with a residual, times ``y``'s probe mask."""
+    enhanced = ag.add(gated_self_attention(x, reg, f"{prefix}.self_attn", heads),
+                      x)
+    probe = gated_self_attention(y, reg, f"{prefix}.probe_attn", heads)
+    return ag.mul(enhanced, ag.sigmoid(two_layer(probe, reg, f"{prefix}.prob")))
 
 
 def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
          prefix: str = "dtga") -> Tensor:
     """Dual-branch enhancement of the input pair (a, b): the output rows."""
-    att_a = gated_self_attention(a, reg, f"{prefix}.fwd.self_attn", heads)
-    enh_a = ag.add(att_a, a)
-    prob_b = _two_layer(gated_self_attention(b, reg, f"{prefix}.fwd.probe_attn",
-                                             heads),
-                        reg, f"{prefix}.fwd.prob", terminal="sigmoid")
-    masked_ab = ag.mul(enh_a, prob_b)
-
-    att_b = gated_self_attention(b, reg, f"{prefix}.bwd.self_attn", heads)
-    enh_b = ag.add(att_b, b)
-    prob_a = _two_layer(gated_self_attention(a, reg, f"{prefix}.bwd.probe_attn",
-                                             heads),
-                        reg, f"{prefix}.bwd.prob", terminal="sigmoid")
-    masked_ba = ag.mul(enh_b, prob_a)
-
-    combined = ag.add(masked_ab, masked_ba)
-    return ag.add(_two_layer(combined, reg, f"{prefix}.decode", terminal="none"),
-                  combined)
+    combined = ag.add(_branch(a, b, reg, f"{prefix}.fwd", heads),
+                      _branch(b, a, reg, f"{prefix}.bwd", heads))
+    return ag.add(two_layer(combined, reg, f"{prefix}.decode"), combined)
 
 
 def select_inputs(h_forward: Tensor, h_backward: Tensor,
@@ -128,6 +116,6 @@ def word_features(h_forward: Tensor, h_backward: Tensor, reg: ParamRegistry,
                   prefix: str = "dtga") -> Tensor:
     """Word-level text features; the disabled path averages the streams."""
     if disabled:
-        return ag.scale(ag.add(h_forward, h_backward), 0.5)
+        return select_inputs(h_forward, h_backward, "avg")[0]
     a, b = select_inputs(h_forward, h_backward, mode)
     return dtga(a, b, reg, heads, prefix)

@@ -14,6 +14,7 @@ where T_RG(i, j) is the guidance output for that specific pair.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,20 +109,23 @@ class Model:
 
     # ------------------------------------------------------- pair scoring
 
-    def guided_text_rows(self, v_r: Tensor, t_g: Tensor) -> list[Tensor]:
+    def guided_text_rows(self, v_r: Tensor, t_g: Tensor) -> Iterator[Tensor]:
         """T_RG rows of each (n, d) region code against the T_G rows ``t_g``.
 
-        Regions and text are each projected once.  With guidance ablated
-        T_RG falls back to T_G, so every image gets ``t_g`` itself.
+        Yields one (M, d) block per image, in order, so a caller holds one
+        image's block at a time.  Regions and text are each projected once.
+        With guidance ablated T_RG falls back to T_G, so every image gets
+        ``t_g`` itself.
         """
         n = v_r.data.shape[0]
         if self.cfg.no_iga:
-            return [t_g] * n
+            yield from [t_g] * n
+            return
         f_r_rows = roam.iga_transform_regions(v_r, self.reg)
         f_g_rows = roam.iga_transform_text(t_g, self.reg)
-        return [roam.iga_guide_rows(ag.row(f_r_rows, i), f_g_rows, self.reg,
-                                    self.cfg.iga_head)
-                for i in range(n)]
+        for i in range(n):
+            yield roam.iga_guide_rows(ag.row(f_r_rows, i), f_g_rows, self.reg,
+                                      self.cfg.iga_head)
 
     def final_scores(self, images: ImageCodes, t_g: Tensor) -> Tensor:
         """S_final between every image and every T_G row.
@@ -129,10 +133,17 @@ class Model:
         The only code that turns codes into final scores: the training
         loss and evaluation both call it.  Each score depends only on its
         own pair, so a block of the grid equals the grid of that block.
+        A near-zero code raises ``DegenerateVectorError`` with ``image``
+        set to the row of the image whose block held it.
         """
-        return ag.concat_rows(*(
-            cosine_matrix(ag.row(images.v_mr, i), t_rg)
-            for i, t_rg in enumerate(self.guided_text_rows(images.v_r, t_g))))
+        rows = []
+        for i, t_rg in enumerate(self.guided_text_rows(images.v_r, t_g)):
+            try:
+                rows.append(cosine_matrix(ag.row(images.v_mr, i), t_rg))
+            except ag.DegenerateVectorError as exc:
+                exc.image = i
+                raise
+        return ag.concat_rows(*rows)
 
     def score_matrices(self, images: ImageCodes,
                        t_g: Tensor) -> tuple[Tensor, Tensor]:

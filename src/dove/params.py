@@ -5,6 +5,10 @@ draws from its own splitmix64 stream keyed by the parameter name, so the
 order in which modules register parameters can never shift another
 entry's initialization.  A registry restoring a checkpoint takes each
 value from the checkpoint at registration and draws nothing.
+
+``two_layer`` is the one two-layer map the model builds from registry
+entries: the nonlinear fusion and guidance heads, the multiscale
+projection, and the gated text enhancer's probe and decoder.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd as ag
 from .autograd import Tensor
 from .rng import RngStream, derive_seed
 
@@ -107,3 +112,17 @@ class ParamRegistry:
         """Reject given values that no registration took."""
         if self._given:
             raise ValueError(f"parameter set mismatch: extra {sorted(self._given)}")
+
+
+def register_two_layer(reg: ParamRegistry, prefix: str, d: int):
+    """The (d, d) maps and biases of ``two_layer``, in w1, b1, w2, b2 order."""
+    reg.matrix(f"{prefix}.w1", d, d)
+    reg.bias(f"{prefix}.b1", d)
+    reg.matrix(f"{prefix}.w2", d, d)
+    reg.bias(f"{prefix}.b2", d)
+
+
+def two_layer(x: Tensor, reg: ParamRegistry, prefix: str) -> Tensor:
+    """relu(x W1 + b1) W2 + b2 with the entries ``prefix.w1`` .. ``prefix.b2``."""
+    h = ag.relu(ag.affine(x, reg[f"{prefix}.w1"], reg[f"{prefix}.b1"]))
+    return ag.affine(h, reg[f"{prefix}.w2"], reg[f"{prefix}.b2"])

@@ -26,44 +26,33 @@ from __future__ import annotations
 
 from . import autograd as ag
 from .autograd import Tensor
-from .params import ParamRegistry
+from .params import ParamRegistry, register_two_layer, two_layer
+
+
+def _register(reg: ParamRegistry, prefix: str, inputs: tuple[str, str],
+              d: int, head: str):
+    for name in inputs:
+        reg.matrix(f"{prefix}.w_{name}", d, d)
+        reg.bias(f"{prefix}.b_{name}", d)
+    if head == "linear":
+        reg.matrix(f"{prefix}.head.w", d, d)
+        reg.bias(f"{prefix}.head.b", d)
+    else:
+        register_two_layer(reg, f"{prefix}.head", d)
 
 
 def register_ifa_params(reg: ParamRegistry, d: int, head: str):
-    reg.matrix("ifa.w_m", d, d)
-    reg.bias("ifa.b_m", d)
-    reg.matrix("ifa.w_r", d, d)
-    reg.bias("ifa.b_r", d)
-    if head == "linear":
-        reg.matrix("ifa.head.w", d, d)
-        reg.bias("ifa.head.b", d)
-    else:
-        reg.matrix("ifa.head.w1", d, d)
-        reg.bias("ifa.head.b1", d)
-        reg.matrix("ifa.head.w2", d, d)
-        reg.bias("ifa.head.b2", d)
+    _register(reg, "ifa", ("m", "r"), d, head)
 
 
 def register_iga_params(reg: ParamRegistry, d: int, head: str):
-    reg.matrix("iga.w_r", d, d)
-    reg.bias("iga.b_r", d)
-    reg.matrix("iga.w_g", d, d)
-    reg.bias("iga.b_g", d)
-    if head == "linear":
-        reg.matrix("iga.head.w", d, d)
-        reg.bias("iga.head.b", d)
-    else:
-        reg.matrix("iga.head.w1", d, d)
-        reg.bias("iga.head.b1", d)
-        reg.matrix("iga.head.w2", d, d)
-        reg.bias("iga.head.b2", d)
+    _register(reg, "iga", ("r", "g"), d, head)
 
 
 def _head(x: Tensor, reg: ParamRegistry, prefix: str, head: str) -> Tensor:
     if head == "linear":
         return ag.affine(x, reg[f"{prefix}.w"], reg[f"{prefix}.b"])
-    h = ag.relu(ag.affine(x, reg[f"{prefix}.w1"], reg[f"{prefix}.b1"]))
-    return ag.add(ag.affine(h, reg[f"{prefix}.w2"], reg[f"{prefix}.b2"]), x)
+    return ag.add(two_layer(x, reg, prefix), x)
 
 
 def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry,

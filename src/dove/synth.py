@@ -39,6 +39,16 @@ class SynthDataset:
     clusters: list[int]                  # cluster id per image
 
 
+def _feature_bank(seed: int, name: str, clusters: list[int], n_clusters: int,
+                  rows: int, cols: int) -> np.ndarray:
+    """(n_images, rows, cols): each image's cluster base plus its own part."""
+    stream = RngStream(derive_seed(seed, name))
+    base = stream.uniform(n_clusters * rows * cols, -1.0, 1.0)
+    part = stream.uniform(len(clusters) * rows * cols, -1.0, 1.0)
+    return (base.reshape(n_clusters, rows, cols)[clusters]
+            + IMAGE_BLEND * part.reshape(len(clusters), rows, cols))
+
+
 def synth_dataset(seed: int, n_images: int, n_clusters: int,
                   n_m: int = 4, n_r: int = 36,
                   d_in: int = 512, d_r: int = 256,
@@ -79,23 +89,8 @@ def synth_dataset(seed: int, n_images: int, n_clusters: int,
     clusters = [i % n_clusters for i in range(n_images)]
 
     # ---- feature banks: cluster base + scaled per-image component
-    msv_stream = RngStream(derive_seed(seed, "msv"))
-    msv_base = msv_stream.uniform(n_clusters * n_m * d_in, -1.0, 1.0)
-    msv_base = msv_base.reshape(n_clusters, n_m, d_in)
-    msv_part = msv_stream.uniform(n_images * n_m * d_in, -1.0, 1.0)
-    msv_part = msv_part.reshape(n_images, n_m, d_in)
-    msv = np.empty((n_images, n_m, d_in))
-    for i, c in enumerate(clusters):
-        msv[i] = msv_base[c] + IMAGE_BLEND * msv_part[i]
-
-    roi_stream = RngStream(derive_seed(seed, "roi"))
-    roi_base = roi_stream.uniform(n_clusters * n_r * d_r, -1.0, 1.0)
-    roi_base = roi_base.reshape(n_clusters, n_r, d_r)
-    roi_part = roi_stream.uniform(n_images * n_r * d_r, -1.0, 1.0)
-    roi_part = roi_part.reshape(n_images, n_r, d_r)
-    roi = np.empty((n_images, n_r, d_r))
-    for i, c in enumerate(clusters):
-        roi[i] = roi_base[c] + IMAGE_BLEND * roi_part[i]
+    msv = _feature_bank(seed, "msv", clusters, n_clusters, n_m, d_in)
+    roi = _feature_bank(seed, "roi", clusters, n_clusters, n_r, d_r)
 
     # ---- captions: cluster-pool draws with the image token slotted in
     cap_stream = RngStream(derive_seed(seed, "captions"))

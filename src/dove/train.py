@@ -21,7 +21,7 @@ from .batching import Split, gather_batch, split_dataset, training_batches
 from .config import (ConfigError, TrainConfig, config_hash, config_to_text,
                      parse_config_text)
 from .dataio import Dataset
-from .evaluation import mean_recall, recall_block, similarity_matrix
+from .evaluation import recall_block, similarity_matrix
 from .model import Model
 from .optimizer import AdamState, NumericAbort, adam_step, init_adam, lr_at
 from .params import ParamRegistry

@@ -8,17 +8,14 @@ from __future__ import annotations
 
 from . import autograd as ag
 from .autograd import Tensor
-from .params import ParamRegistry
+from .params import ParamRegistry, register_two_layer, two_layer
 
 
 def register_visual_params(reg: ParamRegistry, d: int, d_in: int, d_r: int):
     if d_in != d:
         reg.matrix("visual.msv.adapter.w", d_in, d)
         reg.bias("visual.msv.adapter.b", d)
-    reg.matrix("visual.msv.mlp.w1", d, d)
-    reg.bias("visual.msv.mlp.b1", d)
-    reg.matrix("visual.msv.mlp.w2", d, d)
-    reg.bias("visual.msv.mlp.b2", d)
+    register_two_layer(reg, "visual.msv.mlp", d)
     reg.matrix("visual.roi.w", d_r, d)
     reg.bias("visual.roi.b", d)
 
@@ -28,9 +25,7 @@ def msv_project(m_v: Tensor, reg: ParamRegistry) -> Tensor:
     x = m_v
     if "visual.msv.adapter.w" in reg:
         x = ag.affine(x, reg["visual.msv.adapter.w"], reg["visual.msv.adapter.b"])
-    h = ag.relu(ag.affine(x, reg["visual.msv.mlp.w1"], reg["visual.msv.mlp.b1"]))
-    return ag.add(ag.affine(h, reg["visual.msv.mlp.w2"], reg["visual.msv.mlp.b2"]),
-                  x)
+    return ag.add(two_layer(x, reg, "visual.msv.mlp"), x)
 
 
 def roi_project(r_v: Tensor, reg: ParamRegistry) -> Tensor:

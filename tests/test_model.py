@@ -1,6 +1,8 @@
 """Model encoders: codes are (n, d) rows that do not depend on their batch."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,29 @@ def test_stacked_caption_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
     for r, ids in enumerate(token_lists):
         assert np.array_equal(tiny_model.encode_captions([ids]).data[0],
                               stacked[r])
+
+
+def test_final_grid_holds_one_guided_block_at_a_time():
+    # 40 images x 400 captions at d=64: all T_RG blocks together take
+    # N*M*d*8 bytes (8.2 MB); guided one image at a time, the grid's peak
+    # stays far below that
+    from dove import autograd as ag
+    from dove.config import TrainConfig
+    from dove.model import ImageCodes, Model
+
+    n, m, d = 40, 400, 64
+    model = Model(TrainConfig(d=d, heads=2, seed=5), np.zeros((2, 300)))
+    model.bind_feature_widths(6, 4)
+    rng = np.random.default_rng(0)
+    images = ImageCodes(*(ag.constant(rng.uniform(-1, 1, (n, d)))
+                          for _ in range(3)))
+    t_g = ag.constant(rng.uniform(-1, 1, (m, d)))
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            grid = model.final_scores(images, t_g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.data.shape == (n, m)
+    assert peak < n * m * d * 8 / 2

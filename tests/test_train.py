@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 
@@ -223,3 +224,23 @@ def test_loaded_state_takes_an_adam_step_in_place(run, tiny_dataset):
         assert ckpt.state.m[name] is m and ckpt.state.v[name] is v
         assert np.array_equal(m, BETA1 * before.m[name] + (1.0 - BETA1))
         assert np.array_equal(v, BETA2 * before.v[name] + (1.0 - BETA2))
+
+
+@pytest.mark.parametrize("heads, digest", [
+    ({}, "a6efe3f3b14f76e64a6694978fa8dcb73a8ab6eed2f57bff49689428b538b5a6"),
+    ({"ifa_head": "nonlinear", "iga_head": "linear"},
+     "51ea0133046e62e882af22b63cadd9a89b039cd2a961bae1e67b0e6fe82ce0ab"),
+], ids=["default-heads", "swapped-heads"])
+def test_fresh_checkpoint_bytes_are_pinned(tmp_path, heads, digest):
+    # parameter names, registration order and initial values of a fresh
+    # d=8 model fix every byte of its DOVECP01 file
+    from dove.optimizer import init_adam
+
+    cfg = TrainConfig(d=8, heads=2, seed=11, **heads)
+    model = Model(cfg, np.zeros((3, 300)))
+    model.bind_feature_widths(6, 4)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(str(path), cfg, 6, 4,
+                    {n: t.data for n, t in model.reg.tensors().items()},
+                    init_adam(model.reg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
