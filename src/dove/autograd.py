@@ -547,8 +547,10 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 # ------------------------------------------------------------- verification
 
-def grad_check(loss_fn, params, eps: float = 1e-5,
-               max_coords: int | None = None, seed: int = 0):
+FD_STEP = 1e-5  # central-difference step of grad_check
+
+
+def grad_check(loss_fn, params, max_coords: int | None = None, seed: int = 0):
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn`` maps () to a size-1 Tensor built from the tensors in
@@ -583,12 +585,12 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
         for c in coords:
             orig = flat[c]
             with no_grad():
-                flat[c] = orig + eps
+                flat[c] = orig + FD_STEP
                 hi = loss_fn().item()
-                flat[c] = orig - eps
+                flat[c] = orig - FD_STEP
                 lo = loss_fn().item()
             flat[c] = orig
-            fd = (hi - lo) / (2.0 * eps)
+            fd = (hi - lo) / (2.0 * FD_STEP)
             err = abs(ana[c] - fd) / max(1.0, abs(ana[c]), abs(fd))
             if err > worst:
                 worst = err

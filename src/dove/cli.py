@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import __version__
 from .batching import split_dataset
 from .checks import GRADCHECK_TOLERANCE, gradcheck_report
-from .config import ConfigError, TrainConfig, config_hash, load_config_file
+from .config import (CHOICES, FIELD_TYPES, ConfigError, TrainConfig,
+                     config_hash, load_config_file)
 from .dataio import (BankFormatError, BankPayloadError, CaptionFormatError,
                      load_dataset, read_bank_header)
 from .evaluation import (DegenerateEmbeddingError, build_report,
@@ -31,41 +32,26 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-ABLATIONS = ("no_dtga", "no_ifa", "no_iga")
+# the bool fields, each switched on by ``--ablate``
+ABLATIONS = tuple(key for key, kind in FIELD_TYPES.items() if kind is bool)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """``--config``, ``--<key>`` for each non-bool field, and ``--ablate``."""
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda-g", dest="lambda_g", type=float)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--decay-factor", dest="decay_factor", type=float)
-    p.add_argument("--decay-every", dest="decay_every", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dtga-inputs", dest="dtga_inputs",
-                   choices=("ff", "bb", "fb", "avg"))
+    for key, kind in FIELD_TYPES.items():
+        if kind is not bool:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           choices=CHOICES.get(key))
     p.add_argument("--ablate", action="append", choices=ABLATIONS, default=None,
                    help="disable a component (repeatable)")
-    p.add_argument("--ifa-head", dest="ifa_head", choices=("linear", "nonlinear"))
-    p.add_argument("--iga-head", dest="iga_head", choices=("linear", "nonlinear"))
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
 
 
 def resolve_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config, cfg)
-    overrides = {}
-    for f in fields(TrainConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
-    for mode in getattr(args, "ablate", None) or ():
-        overrides[mode] = True
+    cfg = load_config_file(args.config) if args.config else TrainConfig()
+    overrides = {key: getattr(args, key) for key in FIELD_TYPES
+                 if getattr(args, key, None) is not None}
+    overrides.update(dict.fromkeys(args.ablate or (), True))
     return replace(cfg, **overrides).validate()
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-DTGA_INPUT_MODES = ("ff", "bb", "fb", "avg")
-HEAD_KINDS = ("linear", "nonlinear")
+# the values each string field may take; ``validate`` and the CLI read it
+CHOICES = {"dtga_inputs": ("ff", "bb", "fb", "avg"),
+           "ifa_head": ("linear", "nonlinear"),
+           "iga_head": ("linear", "nonlinear")}
 
 
 class ConfigError(ValueError):
@@ -60,14 +62,16 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.dtga_inputs not in DTGA_INPUT_MODES:
-            raise ConfigError(f"dtga_inputs must be one of {DTGA_INPUT_MODES}, "
-                              f"got {self.dtga_inputs!r}")
-        if self.ifa_head not in HEAD_KINDS or self.iga_head not in HEAD_KINDS:
-            raise ConfigError("ifa_head/iga_head must be 'linear' or 'nonlinear'")
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, "
+                                  f"got {getattr(self, key)!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         return self
+
+
+FIELD_TYPES: dict[str, type] = typing.get_type_hints(TrainConfig)
 
 
 def _format_value(v) -> str:
@@ -117,15 +121,13 @@ def config_to_text(cfg: TrainConfig) -> str:
     return _render(_field_items(cfg) + list(_RETIRED.items())) + "\n"
 
 
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse `key = value` lines over ``base`` (defaults if omitted).
+def parse_config_text(text: str) -> TrainConfig:
+    """Parse `key = value` lines over the defaults.
 
-    Unknown keys are rejected -- a typo must never silently fall back to a
-    default.
+    Unknown and repeated keys are rejected -- a typo must never silently
+    fall back to a default, nor a second line silently win.
     """
-    types = typing.get_type_hints(TrainConfig)
-    cfg = base if base is not None else TrainConfig()
-    overrides = {}
+    overrides, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -134,21 +136,25 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: config key {key!r} repeats "
+                              f"line {first_line[key]}")
+        first_line[key] = lineno
         if key in _RETIRED:
             if raw.strip() != _RETIRED[key]:
                 raise ConfigError(
                     f"line {lineno}: config key {key!r} is removed; only "
                     f"'{key} = {_RETIRED[key]}' is accepted, got {raw.strip()!r}")
             continue
-        if key not in types:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(types[key], raw, key)
-    return replace(cfg, **overrides)
+        overrides[key] = _parse_value(FIELD_TYPES[key], raw, key)
+    return TrainConfig(**overrides)
 
 
-def load_config_file(path: str, base: TrainConfig | None = None) -> TrainConfig:
+def load_config_file(path: str) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())
 
 
 def config_hash(cfg: TrainConfig) -> str:

@@ -70,13 +70,12 @@ def _register_map(reg: ParamRegistry, prefix: str, d: int):
         reg.bias(f"{prefix}.{name}", d)
 
 
-def register_dtga_params(reg: ParamRegistry, d: int, heads: int,
-                         prefix: str = "dtga"):
+def register_dtga_params(reg: ParamRegistry, d: int, heads: int):
     for branch in BRANCHES:
-        register_ga_params(reg, f"{prefix}.{branch}.self_attn", d, heads)
-        register_ga_params(reg, f"{prefix}.{branch}.probe_attn", d, heads)
-        _register_map(reg, f"{prefix}.{branch}.prob", d)
-    _register_map(reg, f"{prefix}.decode", d)
+        register_ga_params(reg, f"dtga.{branch}.self_attn", d, heads)
+        register_ga_params(reg, f"dtga.{branch}.probe_attn", d, heads)
+        _register_map(reg, f"dtga.{branch}.prob", d)
+    _register_map(reg, "dtga.decode", d)
 
 
 def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
@@ -88,12 +87,11 @@ def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
     return ag.mul(enhanced, ag.sigmoid(two_layer(probe, reg, f"{prefix}.prob")))
 
 
-def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
-         prefix: str = "dtga") -> Tensor:
+def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int) -> Tensor:
     """Dual-branch enhancement of the input pair (a, b): the output rows."""
-    combined = ag.add(_branch(a, b, reg, f"{prefix}.fwd", heads),
-                      _branch(b, a, reg, f"{prefix}.bwd", heads))
-    return ag.add(two_layer(combined, reg, f"{prefix}.decode"), combined)
+    combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads),
+                      _branch(b, a, reg, "dtga.bwd", heads))
+    return ag.add(two_layer(combined, reg, "dtga.decode"), combined)
 
 
 def select_inputs(h_forward: Tensor, h_backward: Tensor,
@@ -112,10 +110,9 @@ def select_inputs(h_forward: Tensor, h_backward: Tensor,
 
 
 def word_features(h_forward: Tensor, h_backward: Tensor, reg: ParamRegistry,
-                  heads: int, mode: str = "fb", disabled: bool = False,
-                  prefix: str = "dtga") -> Tensor:
+                  heads: int, mode: str = "fb", disabled: bool = False) -> Tensor:
     """Word-level text features; the disabled path averages the streams."""
     if disabled:
         return select_inputs(h_forward, h_backward, "avg")[0]
     a, b = select_inputs(h_forward, h_backward, mode)
-    return dtga(a, b, reg, heads, prefix)
+    return dtga(a, b, reg, heads)

@@ -51,17 +51,11 @@ class Model:
         self.cfg = cfg
         self.embedding = np.asarray(embedding, dtype=np.float64)
         self.reg = ParamRegistry(cfg.seed, values)
-        self.d_in = None   # fixed on first image batch
+        self.d_in = None   # set by bind_feature_widths
         self.d_r = None
 
     def bind_feature_widths(self, d_in: int, d_r: int):
-        """Register all parameters once the bank widths are known."""
-        if self.d_in is not None:
-            if (d_in, d_r) != (self.d_in, self.d_r):
-                raise ValueError(
-                    f"feature widths changed: ({d_in}, {d_r}) vs "
-                    f"({self.d_in}, {self.d_r})")
-            return
+        """Register all parameters for banks of these widths; call once."""
         self.d_in, self.d_r = d_in, d_r
         cfg = self.cfg
         ve.register_visual_params(self.reg, cfg.d, d_in, d_r)
@@ -84,14 +78,13 @@ class Model:
         """
         v_m, v_r, v_mr = [], [], []
         for m, r in zip(msv, roi, strict=True):
-            self.bind_feature_widths(m.shape[1], r.shape[1])
             f_m = ve.msv_project(ag.constant(m), self.reg)
             f_r = ve.roi_project(ag.constant(r), self.reg)
             f_mr = roam.fuse_visual(f_m, f_r, self.reg, self.cfg.ifa_head,
                                     disabled=self.cfg.no_ifa)
-            v_m.append(roam.pool(f_m))
-            v_r.append(roam.pool(f_r))
-            v_mr.append(roam.pool(f_mr))
+            v_m.append(ag.mean_rows(f_m))
+            v_r.append(ag.mean_rows(f_r))
+            v_mr.append(ag.mean_rows(f_mr))
         return ImageCodes(ag.concat_rows(*v_m), ag.concat_rows(*v_r),
                           ag.concat_rows(*v_mr))
 
@@ -104,7 +97,7 @@ class Model:
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
                                    self.cfg.heads, mode=self.cfg.dtga_inputs,
                                    disabled=self.cfg.no_dtga)
-            rows.append(roam.pool(f_g))
+            rows.append(ag.mean_rows(f_g))
         return ag.concat_rows(*rows)
 
     # ------------------------------------------------------- pair scoring

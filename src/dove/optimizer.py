@@ -25,9 +25,9 @@ class AdamState:
 
 def init_adam(reg: ParamRegistry) -> AdamState:
     state = AdamState()
-    for e in reg.entries():
-        state.m[e.name] = np.zeros_like(e.tensor.data)
-        state.v[e.name] = np.zeros_like(e.tensor.data)
+    for name, t in reg.tensors().items():
+        state.m[name] = np.zeros_like(t.data)
+        state.v[name] = np.zeros_like(t.data)
     return state
 
 
@@ -37,21 +37,21 @@ def adam_step(reg: ParamRegistry, state: AdamState, lr: float):
     t = state.t
     correct1 = 1.0 - BETA1 ** t
     correct2 = 1.0 - BETA2 ** t
-    for e in reg.entries():
-        g = e.tensor.grad
+    for name, t in reg.tensors().items():
+        g = t.grad
         if g is None:
-            g = np.zeros_like(e.tensor.data)
+            g = np.zeros_like(t.data)
         elif not np.all(np.isfinite(g)):
-            raise NumericAbort(f"non-finite gradient in {e.name}")
-        m = state.m[e.name]
-        v = state.v[e.name]
+            raise NumericAbort(f"non-finite gradient in {name}")
+        m = state.m[name]
+        v = state.v[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
         m_hat = m / correct1
         v_hat = v / correct2
-        e.tensor.data = e.tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def lr_at(lr0: float, decay_factor: float, decay_every: int, epoch: int) -> float:

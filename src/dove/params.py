@@ -1,4 +1,4 @@
-"""Named registry for every learned matrix and bias.
+"""Named registry for every learned matrix and bias: name -> Tensor.
 
 Initial values are a pure function of (init spec, seed, name): each entry
 draws from its own splitmix64 stream keyed by the parameter name, so the
@@ -12,20 +12,11 @@ projection, and the gated text enhancer's probe and decoder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .rng import RngStream, derive_seed
-
-
-@dataclass
-class ParamEntry:
-    name: str
-    tensor: Tensor
-    init_spec: str  # "uniform_glorot" | "zeros"
 
 
 def _glorot_bound(shape: tuple[int, ...]) -> float:
@@ -58,18 +49,17 @@ class ParamRegistry:
 
     def __init__(self, seed: int, values: dict[str, np.ndarray] | None = None):
         self.seed = seed
-        self._entries: dict[str, ParamEntry] = {}
+        self._tensors: dict[str, Tensor] = {}
         self._given = None if values is None else dict(values)
 
     def register(self, name: str, shape: tuple[int, ...], init_spec: str) -> Tensor:
-        if name in self._entries:
+        if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
         if self._given is None:
             data = init_values(name, shape, init_spec, self.seed)
         else:
             data = self._take(name, shape)
-        t = Tensor(data, requires_grad=True)
-        self._entries[name] = ParamEntry(name, t, init_spec)
+        t = self._tensors[name] = Tensor(data, requires_grad=True)
         return t
 
     def matrix(self, name: str, rows: int, cols: int) -> Tensor:
@@ -79,26 +69,20 @@ class ParamRegistry:
         return self.register(name, (width,), "zeros")
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._entries[name].tensor
+        return self._tensors[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._tensors
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def entries(self) -> list[ParamEntry]:
-        return list(self._entries.values())
+        return len(self._tensors)
 
     def tensors(self) -> dict[str, Tensor]:
-        return {name: e.tensor for name, e in self._entries.items()}
+        return dict(self._tensors)
 
     def zero_grad(self):
-        for e in self._entries.values():
-            e.tensor.grad = None
+        for t in self._tensors.values():
+            t.grad = None
 
     def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in self._given:

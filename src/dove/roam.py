@@ -96,8 +96,3 @@ def iga_guide_rows(f_r_row: Tensor, f_g_rows: Tensor, reg: ParamRegistry,
     u = ag.scale_rows(f_g_rows,
                       ag.add_scalar(ag.reshape(gates, (gates.data.shape[0],)), 1.0))
     return _head(u, reg, "iga.head", head)
-
-
-def pool(rows: Tensor) -> Tensor:
-    """Column-wise mean: collapses a row set into one embedding vector."""
-    return ag.mean_rows(rows)

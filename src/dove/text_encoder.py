@@ -40,12 +40,12 @@ class HiddenStates:
     backward: Tensor  # (n_tokens, d)
 
 
-def register_gru_params(reg: ParamRegistry, d: int, prefix: str = "text.gru"):
+def register_gru_params(reg: ParamRegistry, d: int):
     for direction in ("fwd", "bwd"):
         for gate in GATE_NAMES:
-            reg.matrix(f"{prefix}.{direction}.w_{gate}", EMBED_DIM, d)
-            reg.matrix(f"{prefix}.{direction}.u_{gate}", d, d)
-            reg.bias(f"{prefix}.{direction}.b_{gate}", d)
+            reg.matrix(f"text.gru.{direction}.w_{gate}", EMBED_DIM, d)
+            reg.matrix(f"text.gru.{direction}.u_{gate}", d, d)
+            reg.bias(f"text.gru.{direction}.b_{gate}", d)
 
 
 def embed_tokens(token_ids: list[int], table: np.ndarray) -> Tensor:
@@ -68,12 +68,12 @@ def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool) -> Tensor:
                        reg[f"{prefix}.u_r"], reg[f"{prefix}.u_h"], reverse)
 
 
-def bigru(e: Tensor, reg: ParamRegistry, prefix: str = "text.gru") -> HiddenStates:
+def bigru(e: Tensor, reg: ParamRegistry) -> HiddenStates:
     """Hidden states of both directions, one row per token."""
     if e.data.ndim != 2 or e.data.shape[1] != EMBED_DIM:
         raise ag.DimensionError(
             f"bigru expects (n_tokens, {EMBED_DIM}), got {e.data.shape}")
     return HiddenStates(
-        forward=_scan(e, reg, f"{prefix}.fwd", reverse=False),
-        backward=_scan(e, reg, f"{prefix}.bwd", reverse=True),
+        forward=_scan(e, reg, "text.gru.fwd", reverse=False),
+        backward=_scan(e, reg, "text.gru.bwd", reverse=True),
     )

@@ -218,6 +218,11 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, ds: Dataset) -> Model:
+    """The checkpoint's model; ``ds`` must have the widths it trained on."""
+    widths = (ds.msv.shape[2], ds.roi.shape[2])
+    if widths != (ckpt.d_in, ckpt.d_r):
+        raise ValueError(f"feature widths changed: {widths} vs "
+                         f"({ckpt.d_in}, {ckpt.d_r})")
     model = Model(ckpt.cfg, ds.embedding, values=ckpt.values)
-    model.bind_feature_widths(ckpt.d_in, ckpt.d_r)
+    model.bind_feature_widths(*widths)
     return model

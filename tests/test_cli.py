@@ -1,13 +1,14 @@
 """End-to-end command-line flows, exit codes, output contracts."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import pytest
 
-from dove.cli import main
-from dove.config import TrainConfig, config_hash
+from dove.cli import ABLATIONS, build_parser, main, resolve_config
+from dove.config import FIELD_TYPES, TrainConfig, config_hash
 from dove.dataio import (UNKNOWN_ID, load_dataset, load_embedding_table,
                          write_embedding_table)
 from dove.model import Model
@@ -111,6 +112,26 @@ def test_config_asking_for_threads_is_a_usage_error(workspace, tmp_path,
     assert "'threads' is removed" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_rejected(workspace, tmp_path, capsys):
+    # exit 2 in a --config file, exit 3 in a checkpoint's config block
+    data, run = workspace
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("epochs = 3\nepochs = 5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg_file)] + TRAIN_FLAGS) == 2
+    assert "line 2: config key 'epochs' repeats line 1" in \
+        capsys.readouterr().err
+    blob = (run / "checkpoint.bin").read_bytes()
+    assert blob.count(b"\nepochs = 2\n") == 1
+    bad = tmp_path / "twice.bin"
+    # same length, so the config block keeps its size prefix
+    bad.write_bytes(blob.replace(b"\nthreads = 1\n", b"\nepochs =  2\n"))
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "config key 'epochs' repeats line 7" in err
+
+
 def test_eval_bad_checkpoint_config_is_a_format_error(workspace, tmp_path,
                                                       capsys):
     data, run = workspace
@@ -204,6 +225,21 @@ def test_train_degenerate_caption_is_a_numeric_abort(tmp_path, capsys):
                      r"captions=\[\d+, \d+\]\)", err), err
 
 
+@pytest.mark.parametrize("command", ["eval", "distances"])
+@pytest.mark.parametrize("flag,widths", [("--d-in", (5, 4)),
+                                         ("--d-r", (6, 5))])
+def test_dataset_of_other_feature_widths_is_a_usage_error(
+        workspace, tmp_path, capsys, command, flag, widths):
+    _, run = workspace
+    other = tmp_path / "other"
+    assert main(SYNTH + [flag, "5", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(other)]) == 2
+    assert f"feature widths changed: {widths} vs (6, 4)" in \
+        capsys.readouterr().err
+
+
 def test_distances_output(workspace, capsys):
     data, run = workspace
     assert main(["distances", "--checkpoint", str(run / "checkpoint.bin"),
@@ -249,11 +285,12 @@ def test_missing_checkpoint_is_an_io_error(workspace, tmp_path, capsys):
 
 def test_bad_flag_choice_exits_via_argparse(workspace, tmp_path, capsys):
     data, _ = workspace
-    with pytest.raises(SystemExit) as err:
-        main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
-              "--dtga-inputs", "bf"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    for flag in ("--dtga-inputs", "--iga-head"):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                  flag, "bf"])
+        assert err.value.code == 2
+        assert f"{flag}: invalid choice: 'bf'" in capsys.readouterr().err
 
 
 def test_ablation_flags_reach_the_config(workspace, tmp_path, capsys):
@@ -268,3 +305,36 @@ def test_ablation_flags_reach_the_config(workspace, tmp_path, capsys):
                            no_iga=True)
     log = json.loads((out / "train_log.json").read_text(encoding="utf-8"))
     assert log["config_hash"] == config_hash(expected)
+
+
+# -------------------------------------------------- flags from TrainConfig
+
+# a valid value other than the default for every non-bool field
+FLAG_VALUES = {"d": "16", "alpha": "0.3", "lambda_g": "2.5", "lr0": "0.001",
+               "decay_factor": "0.5", "decay_every": "3", "epochs": "7",
+               "batch_size": "4", "heads": "4", "seed": "9",
+               "dtga_inputs": "avg", "ifa_head": "nonlinear",
+               "iga_head": "linear", "val_fraction": "0.5"}
+
+
+def _train_args(*flags: str):
+    return build_parser().parse_args(["train", "--data", "d", "--out", "o",
+                                      *flags])
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainConfig)
+                                 if FIELD_TYPES[f.name] is not bool])
+def test_each_non_bool_key_is_a_flag(key):
+    want = FIELD_TYPES[key](FLAG_VALUES[key])
+    assert want != getattr(TrainConfig(), key)
+    cfg = resolve_config(_train_args("--" + key.replace("_", "-"),
+                                     FLAG_VALUES[key]))
+    assert cfg == dataclasses.replace(TrainConfig(), **{key: want})
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainConfig)
+                                 if FIELD_TYPES[f.name] is bool])
+def test_each_bool_key_is_an_ablate_choice(key):
+    assert key in ABLATIONS
+    cfg = resolve_config(_train_args("--ablate", key))
+    assert cfg == dataclasses.replace(TrainConfig(), **{key: True})

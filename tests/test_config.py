@@ -34,10 +34,9 @@ def test_text_round_trip():
 
 
 def test_parse_over_base_and_comments():
-    base = TrainConfig(d=64, epochs=9)
     text = "# comment line\n\nepochs = 3\nalpha = 0.3\n"
-    cfg = parse_config_text(text, base)
-    assert cfg.epochs == 3 and cfg.alpha == 0.3 and cfg.d == 64
+    cfg = parse_config_text(text)
+    assert cfg.epochs == 3 and cfg.alpha == 0.3 and cfg.d == TrainConfig().d
 
 
 def test_parse_booleans():
@@ -58,6 +57,16 @@ def test_parse_rejects_malformed_lines():
         parse_config_text("epochs 3\n")
     with pytest.raises(ConfigError):
         parse_config_text("epochs = many\n")
+
+
+@pytest.mark.parametrize("text,first,second", [
+    ("epochs = 3\nepochs = 5\n", 1, 2),
+    ("threads = 1\nd = 8\n\nthreads = 1\n", 1, 4),   # a retired line too
+])
+def test_parse_rejects_repeated_key(text, first, second):
+    with pytest.raises(ConfigError,
+                       match=f"line {second}: .* repeats line {first}$"):
+        parse_config_text(text)
 
 
 def test_load_config_file(tmp_path):

@@ -8,7 +8,7 @@ import oracles
 from dove import autograd as ag
 from dove.params import ParamRegistry
 from dove.roam import (fuse_visual, ifa_fuse, iga_guide_rows,
-                       iga_transform_regions, iga_transform_text, pool,
+                       iga_transform_regions, iga_transform_text,
                        register_ifa_params, register_iga_params)
 
 D = 8
@@ -61,9 +61,10 @@ def test_pooled_fusion_invariant_to_region_order():
     reg, _ = ifa_registry(4, "linear")
     f_m, f_r = rows(40, 3), rows(41, 6)
     perm = [4, 0, 5, 2, 1, 3]
-    base = pool(ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, "linear"))
-    shuffled = pool(ifa_fuse(ag.constant(f_m), ag.constant(f_r[perm]),
-                             reg, "linear"))
+    base = ag.mean_rows(ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg,
+                                 "linear"))
+    shuffled = ag.mean_rows(ifa_fuse(ag.constant(f_m), ag.constant(f_r[perm]),
+                                     reg, "linear"))
     assert np.array_equal(base.data, shuffled.data)  # bit-exact, not approx
 
 
@@ -71,9 +72,10 @@ def test_pooled_fusion_invariant_to_scale_order():
     reg, _ = ifa_registry(5, "linear")
     f_m, f_r = rows(50, 4), rows(51, 5)
     perm = [2, 0, 3, 1]
-    base = pool(ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, "linear"))
-    shuffled = pool(ifa_fuse(ag.constant(f_m[perm]), ag.constant(f_r),
-                             reg, "linear"))
+    base = ag.mean_rows(ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg,
+                                 "linear"))
+    shuffled = ag.mean_rows(ifa_fuse(ag.constant(f_m[perm]), ag.constant(f_r),
+                                     reg, "linear"))
     assert np.array_equal(base.data, shuffled.data)
 
 
@@ -123,12 +125,12 @@ def test_half_gate_construction():
 
 
 def test_pool_fixture():
-    assert np.array_equal(pool(ag.constant([[0.0, 2.0], [2.0, 0.0]])).data,
-                          [1.0, 1.0])
+    got = ag.mean_rows(ag.constant([[0.0, 2.0], [2.0, 0.0]]))
+    assert np.array_equal(got.data, [1.0, 1.0])
 
 
 def test_pool_invariant_to_row_order():
     x = rows(123, 7)
     perm = np.random.default_rng(0).permutation(7)
-    assert np.array_equal(pool(ag.constant(x)).data,
-                          pool(ag.constant(x[perm])).data)
+    assert np.array_equal(ag.mean_rows(ag.constant(x)).data,
+                          ag.mean_rows(ag.constant(x[perm])).data)

@@ -202,7 +202,7 @@ def test_loading_draws_no_initial_values(run, tiny_dataset, monkeypatch):
     fresh = Model(ckpt.cfg, tiny_dataset.embedding)
     fresh.bind_feature_widths(ckpt.d_in, ckpt.d_r)
     assert drawn
-    assert model.reg.names() == fresh.reg.names()
+    assert list(model.reg.tensors()) == list(fresh.reg.tensors())
     for name, t in model.reg.tensors().items():
         assert t.requires_grad and t.data.dtype == np.float64
         assert np.array_equal(t.data, ckpt.values[name])
