@@ -5,11 +5,9 @@ on a size-1 tensor accumulates gradients into every reachable tensor that
 has ``requires_grad``.  ``grad_check`` is the verification oracle: every
 analytic rule is compared against central finite differences.
 
-Two reductions sum their terms in canonically sorted order (``mean_rows``
-and ``attend_rows``).  Sorting makes the floating-point sum a function of
-the *multiset* of terms, so permuting rows of the operands cannot change
-a single output bit -- the engine's permutation-invariance guarantees
-rest on this.
+Ops sum in NumPy's own order.  Invariance to the order of an image's
+rows is not made here: ``Model.encode_images`` puts those rows into one
+canonical order before any op sees them.
 """
 from __future__ import annotations
 
@@ -22,8 +20,7 @@ __all__ = [
     "constant", "matmul", "transpose", "reshape", "row", "add", "mul",
     "scale", "add_scalar", "add_bias", "scale_rows", "affine", "sigmoid",
     "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat_rows",
-    "concat_cols", "normalize_rows", "take_diag", "attend_rows", "gru_scan",
-    "grad_check",
+    "concat_cols", "normalize_rows", "take_diag", "gru_scan", "grad_check",
 ]
 
 
@@ -142,12 +139,6 @@ def _acc(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def _canonical_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    # Sorting first makes the sum depend only on the multiset of addends,
-    # so row permutations of the inputs reproduce identical bits.
-    return np.sort(terms, axis=axis).sum(axis=axis)
-
-
 # ---------------------------------------------------------------- structure
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -163,28 +154,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _acc(a, g @ b.data.T)
             if b.requires_grad:
                 _acc(b, a.data.T @ g)
-        out._bw = bw
-    return out
-
-
-def attend_rows(s: Tensor, f: Tensor) -> Tensor:
-    """matmul(s, f) with each contraction summed in canonical order.
-
-    Used where the contracted axis enumerates an unordered row set
-    (attention over regions/scales), so permuting that set leaves the
-    output bit-identical.
-    """
-    if s.data.ndim != 2 or f.data.ndim != 2 or s.data.shape[1] != f.data.shape[0]:
-        raise DimensionError(
-            f"attend_rows expects (m,k) x (k,n); got {s.data.shape} x {f.data.shape}")
-    terms = s.data[:, :, None] * f.data[None, :, :]
-    out = _result(_canonical_sum(terms, axis=1), (s, f))
-    if out.requires_grad:
-        def bw(g):
-            if s.requires_grad:
-                _acc(s, g @ f.data.T)
-            if f.requires_grad:
-                _acc(f, s.data.T @ g)
         out._bw = bw
     return out
 
@@ -523,11 +492,11 @@ def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
 # --------------------------------------------------------------- reductions
 
 def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean of a rank-2 tensor, summed in canonical order."""
+    """Column-wise mean of a rank-2 tensor."""
     if x.data.ndim != 2:
         raise DimensionError("mean_rows expects a rank-2 tensor")
     m = x.data.shape[0]
-    out = _result(_canonical_sum(x.data, axis=0) / m, (x,))
+    out = _result(x.data.sum(axis=0) / m, (x,))
     if out.requires_grad:
         def bw(g):
             _acc(x, np.broadcast_to(g[None, :] / m, x.data.shape))
@@ -578,7 +547,7 @@ def grad_check(loss_fn, params, max_coords: int | None = None, seed: int = 0):
         n = flat.size
         if max_coords is not None and n > max_coords:
             stream = RngStream(derive_seed(seed, "gradcheck", name))
-            coords = sorted(set(int(c) for c in stream.integers(max_coords, n)))
+            coords = np.unique(stream.integers(max_coords, n)).tolist()
         else:
             coords = range(n)
         ana = analytic[name].reshape(-1)

@@ -41,7 +41,6 @@ def primitive_gradcheck(seed: int = 0) -> float:
     a = Tensor(_rand(stream, 3, 4), requires_grad=True)
     b = Tensor(_rand(stream, 4, 2), requires_grad=True)
     check({"a": a, "b": b}, lambda: ag.matmul(a, b))
-    check({"a": a, "b": b}, lambda: ag.attend_rows(a, b))
     check({"a": a}, lambda: ag.transpose(a))
     check({"a": a}, lambda: ag.reshape(a, (2, 6)))
     check({"a": a}, lambda: ag.row(a, 1))

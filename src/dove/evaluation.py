@@ -38,12 +38,15 @@ def _unit_rows(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
 
 def encode_images(model: Model, ds: Dataset,
                   image_indices: list[int]) -> ImageCodes:
-    """Image codes; one whose V_M or V_MR cannot be scored raises."""
+    """Image codes; one whose V_MR cannot be scored raises.
+
+    Evaluation scores only the final grid, so V_M is not checked here
+    (``embedding_distances`` checks it by name).
+    """
     with no_grad():
         codes = model.encode_images([ds.msv[i] for i in image_indices],
                                     [ds.roi[i] for i in image_indices])
-    for rows in (codes.v_m, codes.v_mr):
-        _unit_rows(rows.data, "image", image_indices)
+    _unit_rows(codes.v_mr.data, "image", image_indices)
     return codes
 
 
@@ -84,7 +87,7 @@ def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
         with no_grad():
             s_final = model.final_scores(*codes)
     except ag.DegenerateVectorError as exc:
-        # the encoders reject degenerate V_M, V_MR and T_G: this is T_RG
+        # the encoders reject degenerate V_MR and T_G: this is T_RG
         raise DegenerateEmbeddingError(
             f"caption {caption_indices[exc.row]} has a near-zero embedding "
             f"when guided by image {image_indices[exc.image]}") from exc

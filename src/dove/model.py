@@ -39,6 +39,12 @@ class ImageCodes:
     v_mr: Tensor   # (n, d) fused codes
 
 
+def _canonical(rows) -> np.ndarray:
+    """``rows`` in one order that depends only on the multiset of rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows[sorted(range(len(rows)), key=lambda i: rows[i].tobytes())]
+
+
 class Model:
     def __init__(self, cfg: TrainConfig, embedding: np.ndarray,
                  values: dict[str, np.ndarray] | None = None):
@@ -74,12 +80,15 @@ class Model:
         """Codes of the images whose (rows, width) arrays pair up in order.
 
         ``msv`` and ``roi`` may be (n, rows, width) arrays or sequences of
-        per-image arrays, such as views into the feature banks.
+        per-image arrays, such as views into the feature banks.  Each
+        image's rows are an unordered set: they enter the graph sorted by
+        their bytes, so every order of them yields the same codes, bit for
+        bit.
         """
         v_m, v_r, v_mr = [], [], []
         for m, r in zip(msv, roi, strict=True):
-            f_m = ve.msv_project(ag.constant(m), self.reg)
-            f_r = ve.roi_project(ag.constant(r), self.reg)
+            f_m = ve.msv_project(ag.constant(_canonical(m)), self.reg)
+            f_r = ve.roi_project(ag.constant(_canonical(r)), self.reg)
             f_mr = roam.fuse_visual(f_m, f_r, self.reg, self.cfg.ifa_head,
                                     disabled=self.cfg.no_ifa)
             v_m.append(ag.mean_rows(f_m))

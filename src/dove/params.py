@@ -39,6 +39,10 @@ def init_values(name: str, shape: tuple[int, ...], init_spec: str, seed: int) ->
     raise ValueError(f"unknown init spec {init_spec!r}")
 
 
+class ParamSetError(ValueError):
+    """Given values whose names or shapes differ from the registered ones."""
+
+
 class ParamRegistry:
     """Insertion-ordered mapping of parameter names to tensors.
 
@@ -86,16 +90,16 @@ class ParamRegistry:
 
     def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in self._given:
-            raise ValueError(f"parameter set mismatch: missing {name!r}")
+            raise ParamSetError(f"parameter set mismatch: missing {name!r}")
         arr = self._given.pop(name)
         if arr.shape != shape:
-            raise ValueError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
+            raise ParamSetError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
         return np.array(arr, dtype=np.float64)  # a copy: never alias the source
 
     def check_complete(self):
         """Reject given values that no registration took."""
         if self._given:
-            raise ValueError(f"parameter set mismatch: extra {sorted(self._given)}")
+            raise ParamSetError(f"parameter set mismatch: extra {sorted(self._given)}")
 
 
 def register_two_layer(reg: ParamRegistry, prefix: str, d: int):

@@ -18,9 +18,10 @@ affinity with the pooled region vector:
 
 Heads: "linear" is a single affine map; "nonlinear" is a two-layer map
 with interior rectifier plus a residual connection.  Both cross products
-inside fusion contract over an unordered row set and therefore sum in
-canonical order (see autograd.attend_rows), which makes region- and
-scale-permutation invariance exact at the bit level.
+inside fusion contract over an unordered row set.  They are plain
+products: ``Model.encode_images`` hands fusion each image's rows in one
+canonical order, which makes region- and scale-permutation invariance
+exact at the bit level.
 """
 from __future__ import annotations
 
@@ -61,8 +62,8 @@ def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry,
     fm = ag.affine(f_m, reg["ifa.w_m"], reg["ifa.b_m"])
     fr = ag.affine(f_r, reg["ifa.w_r"], reg["ifa.b_r"])
     rel = ag.sigmoid(ag.matmul(fm, ag.transpose(fr)))
-    region_to_scale = ag.add(ag.attend_rows(rel, fr), fm)
-    scale_to_region = ag.add(ag.attend_rows(ag.transpose(rel), fm), fr)
+    region_to_scale = ag.add(ag.matmul(rel, fr), fm)
+    scale_to_region = ag.add(ag.matmul(ag.transpose(rel), fm), fr)
     rows = ag.concat_rows(region_to_scale, scale_to_region)
     return _head(rows, reg, "ifa.head", head)
 

@@ -24,7 +24,7 @@ from .dataio import Dataset
 from .evaluation import recall_block, similarity_matrix
 from .model import Model
 from .optimizer import AdamState, NumericAbort, adam_step, init_adam, lr_at
-from .params import ParamRegistry
+from .params import ParamSetError
 
 CHECKPOINT_MAGIC = b"DOVECP01"
 
@@ -160,6 +160,7 @@ class Checkpoint:
     d_r: int
     values: dict[str, np.ndarray]
     state: AdamState
+    path: str
 
 
 class CheckpointFormatError(ValueError):
@@ -214,15 +215,22 @@ def load_checkpoint(path: str) -> Checkpoint:
         state.v[name] = array(arr.shape)
     if off != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return Checkpoint(cfg, d_in, d_r, values, state)
+    return Checkpoint(cfg, d_in, d_r, values, state, path)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, ds: Dataset) -> Model:
-    """The checkpoint's model; ``ds`` must have the widths it trained on."""
+    """The checkpoint's model; ``ds`` must have the widths it trained on.
+
+    Parameters whose names or shapes differ from those the checkpoint's
+    own config registers make it a corrupt checkpoint.
+    """
     widths = (ds.msv.shape[2], ds.roi.shape[2])
     if widths != (ckpt.d_in, ckpt.d_r):
         raise ValueError(f"feature widths changed: {widths} vs "
                          f"({ckpt.d_in}, {ckpt.d_r})")
     model = Model(ckpt.cfg, ds.embedding, values=ckpt.values)
-    model.bind_feature_widths(*widths)
+    try:
+        model.bind_feature_widths(*widths)
+    except ParamSetError as exc:
+        raise CheckpointFormatError(f"{ckpt.path}: {exc}") from exc
     return model

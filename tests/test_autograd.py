@@ -151,14 +151,6 @@ def test_every_primitive_matches_finite_differences():
     assert primitive_gradcheck(seed=3) < 1e-6
 
 
-def test_attend_rows_matches_matmul():
-    rng = np.random.default_rng(5)
-    s = rng.uniform(-1, 1, (3, 6))
-    f = rng.uniform(-1, 1, (6, 4))
-    out = ag.attend_rows(_param(s), _param(f))
-    assert np.allclose(out.data, s @ f, atol=1e-12)
-
-
 # ------------------------------------------------------------ property tests
 
 finite_rows = st.lists(

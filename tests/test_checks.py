@@ -3,8 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from dove import autograd as ag
+from dove import checks
 from dove.checks import (GRADCHECK_TOLERANCE, MICRO, gradcheck_report,
                          micro_fixture, module_gradcheck)
+
+# autograd's public names that are not differentiable ops
+NOT_OPS = ("Tensor", "DimensionError", "DegenerateVectorError", "no_grad",
+           "constant", "grad_check")
 
 
 def test_micro_shapes():
@@ -40,3 +46,29 @@ def test_full_report_includes_the_primitive_sweep():
     assert "autograd-primitives" in report
     assert len(report) == 6
     assert all(err < GRADCHECK_TOLERANCE for err in report.values())
+
+
+def test_every_primitive_has_a_gradient_audit(monkeypatch):
+    # an op counts when it is applied to the very tensors grad_check
+    # differentiates, not when it only builds the weighted loss around one
+    assert set(NOT_OPS) <= set(ag.__all__)
+    ops = [name for name in ag.__all__ if name not in NOT_OPS]
+    audited, checked = set(), []
+    grad_check = checks.grad_check
+
+    def auditing(loss_fn, params, **kwargs):
+        checked[:] = params.values()
+        return grad_check(loss_fn, params, **kwargs)
+
+    def recording(name, op):
+        def call(*args, **kwargs):
+            if any(a is t for a in args for t in checked):
+                audited.add(name)
+            return op(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(checks, "grad_check", auditing)
+    for name in ops:
+        monkeypatch.setattr(ag, name, recording(name, getattr(ag, name)))
+    checks.primitive_gradcheck(seed=0)
+    assert [name for name in ops if name not in audited] == []

@@ -145,6 +145,21 @@ def test_eval_bad_checkpoint_config_is_a_format_error(workspace, tmp_path,
     assert str(bad) in err and "'threads' is removed" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "distances"])
+def test_checkpoint_parameter_set_mismatch_is_a_format_error(
+        workspace, tmp_path, capsys, command):
+    data, run = workspace
+    blob = (run / "checkpoint.bin").read_bytes()
+    assert blob.count(b"ifa.w_m") == 1
+    bad = tmp_path / "renamed.bin"
+    # same length, so every size prefix still holds
+    bad.write_bytes(blob.replace(b"ifa.w_m", b"ifa.w_x"))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(bad), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "missing 'ifa.w_m'" in err
+
+
 def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
     data, run = workspace
     report_path = tmp_path / "report.json"

@@ -57,26 +57,28 @@ def test_fuse_disabled_is_row_concatenation():
     assert np.array_equal(got.data, np.concatenate([f_m, f_r], axis=0))
 
 
-def test_pooled_fusion_invariant_to_region_order():
-    reg, _ = ifa_registry(4, "linear")
-    f_m, f_r = rows(40, 3), rows(41, 6)
-    perm = [4, 0, 5, 2, 1, 3]
-    base = ag.mean_rows(ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg,
-                                 "linear"))
-    shuffled = ag.mean_rows(ifa_fuse(ag.constant(f_m), ag.constant(f_r[perm]),
-                                     reg, "linear"))
-    assert np.array_equal(base.data, shuffled.data)  # bit-exact, not approx
-
-
-def test_pooled_fusion_invariant_to_scale_order():
-    reg, _ = ifa_registry(5, "linear")
-    f_m, f_r = rows(50, 4), rows(51, 5)
-    perm = [2, 0, 3, 1]
-    base = ag.mean_rows(ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg,
-                                 "linear"))
-    shuffled = ag.mean_rows(ifa_fuse(ag.constant(f_m[perm]), ag.constant(f_r),
-                                     reg, "linear"))
-    assert np.array_equal(base.data, shuffled.data)
+@pytest.mark.parametrize("permuted", ["msv", "roi", "both"])
+def test_image_codes_invariant_to_row_order(permuted, tiny_model, tiny_dataset):
+    # an image's multiscale and region rows are sets: any order of them,
+    # with two equal region rows too, gives the same codes and scores
+    ds = tiny_dataset
+    msv, roi = ds.msv[:4].copy(), ds.roi[:4].copy()
+    roi[1, 2] = roi[1, 0]
+    rng = np.random.default_rng(3)
+    shuffled = {"msv": msv, "roi": roi}
+    for bank in (["msv", "roi"] if permuted == "both" else [permuted]):
+        rows = shuffled[bank]
+        shuffled[bank] = np.stack([r[rng.permutation(len(r))] for r in rows])
+        assert not np.array_equal(shuffled[bank], rows)
+    t_g = tiny_model.encode_captions([c.token_ids for c in ds.captions[:6]])
+    base = tiny_model.encode_images(msv, roi)
+    moved = tiny_model.encode_images(shuffled["msv"], shuffled["roi"])
+    for field in ("v_m", "v_r", "v_mr"):
+        assert np.array_equal(getattr(moved, field).data,
+                              getattr(base, field).data)  # bit-exact
+    for got, want in zip(tiny_model.score_matrices(moved, t_g),
+                         tiny_model.score_matrices(base, t_g)):
+        assert np.array_equal(got.data, want.data)
 
 
 # ----------------------------------------------------------------- guidance
@@ -127,10 +129,3 @@ def test_half_gate_construction():
 def test_pool_fixture():
     got = ag.mean_rows(ag.constant([[0.0, 2.0], [2.0, 0.0]]))
     assert np.array_equal(got.data, [1.0, 1.0])
-
-
-def test_pool_invariant_to_row_order():
-    x = rows(123, 7)
-    perm = np.random.default_rng(0).permutation(7)
-    assert np.array_equal(ag.mean_rows(ag.constant(x)).data,
-                          ag.mean_rows(ag.constant(x[perm])).data)
