@@ -356,8 +356,8 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
 
 def _sigmoid_values(d: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -2,13 +2,15 @@
 
 Checkpoints hold the config snapshot, feature widths, every parameter
 (float64, little-endian), and the Adam state, all in a fixed order --
-identical runs therefore produce byte-identical files.  The retained
-snapshot is the one with the best validation mean recall; ties keep the
-latest epoch (the most-trained parameters at that recall level).
+identical runs therefore produce byte-identical files.  The reader checks
+the Adam section's length and never loads it.  The retained snapshot is
+the one with the best validation mean recall; ties keep the latest epoch
+(the most-trained parameters at that recall level).
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -72,7 +74,7 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
         checkpoint_path=os.path.join(out_dir, "checkpoint.bin"),
         log_path=os.path.join(out_dir, "train_log.json"),
     )
-    best = None  # (mr, epoch, param values, adam m, adam v, adam t)
+    best = None  # (val_mr, epoch, parameter values, Adam state)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         lr = lr_at(cfg.lr0, cfg.decay_factor, cfg.decay_every, epoch)
@@ -109,13 +111,12 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
         if best is None or val_mr >= best[0]:
             best = (val_mr, epoch,
                     {name: t.data.copy() for name, t in model.reg.tensors().items()},
-                    {k: v.copy() for k, v in state.m.items()},
-                    {k: v.copy() for k, v in state.v.items()},
-                    state.t)
-    result.best_val_mr, result.best_epoch = best[0], best[1]
-    snapshot_state = AdamState(m=best[3], v=best[4], t=best[5])
+                    AdamState(m={k: v.copy() for k, v in state.m.items()},
+                              v={k: v.copy() for k, v in state.v.items()},
+                              t=state.t))
+    result.best_val_mr, result.best_epoch, values, snapshot_state = best
     save_checkpoint(result.checkpoint_path, cfg, model.d_in, model.d_r,
-                    best[2], snapshot_state)
+                    values, snapshot_state)
     with open(result.log_path, "w", encoding="utf-8") as fh:
         json.dump({
             "config_hash": config_hash(cfg),
@@ -159,7 +160,6 @@ class Checkpoint:
     d_in: int
     d_r: int
     values: dict[str, np.ndarray]
-    state: AdamState
     path: str
 
 
@@ -168,54 +168,51 @@ class CheckpointFormatError(ValueError):
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """The checkpoint at ``path``.
+    """The config, feature widths and parameters of the checkpoint at ``path``.
 
-    The file is read once into one writable buffer; parameters and Adam
-    state are array views into it, so nothing is copied and the state can
-    be stepped in place.
+    One sequential read of the header and the parameter records; each
+    declared length is checked against the file size before it is read.
     """
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf):]
-    blob = memoryview(buf)
-    off = 0
+        size = os.fstat(fh.fileno()).st_size
+        off = 0
 
-    def take(n: int) -> memoryview:
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointFormatError(f"{path}: truncated at byte {off}")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
+        def take(n: int) -> bytes:
+            nonlocal off
+            if off + n > size:
+                raise CheckpointFormatError(f"{path}: truncated at byte {off}")
+            off += n
+            return fh.read(n)
 
-    def array(shape: tuple) -> np.ndarray:
-        count = int(np.prod(shape))
-        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
-
-    magic = bytes(take(8))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
-    (config_len,) = struct.unpack("<I", take(4))
-    try:
-        cfg = parse_config_text(str(take(config_len), "utf-8")).validate()
-    except ConfigError as exc:
-        raise CheckpointFormatError(f"{path}: bad config block: {exc}") from exc
-    d_in, d_r = struct.unpack("<II", take(8))
-    (n_params,) = struct.unpack("<I", take(4))
-    values: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = str(take(name_len), "utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        values[name] = array(struct.unpack(f"<{ndim}I", take(4 * ndim)))
-    (t_step,) = struct.unpack("<Q", take(8))
-    state = AdamState(t=t_step)
-    for name, arr in values.items():
-        state.m[name] = array(arr.shape)
-        state.v[name] = array(arr.shape)
-    if off != len(blob):
-        raise CheckpointFormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return Checkpoint(cfg, d_in, d_r, values, state, path)
+        magic = take(8)
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
+        (config_len,) = struct.unpack("<I", take(4))
+        try:
+            cfg = parse_config_text(take(config_len).decode("utf-8")).validate()
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise CheckpointFormatError(f"{path}: bad config block: {exc}") from exc
+        d_in, d_r = struct.unpack("<II", take(8))
+        (n_params,) = struct.unpack("<I", take(4))
+        values: dict[str, np.ndarray] = {}
+        for _ in range(n_params):
+            (name_len,) = struct.unpack("<H", take(2))
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointFormatError(
+                    f"{path}: bad parameter name: {exc}") from exc
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            values[name] = np.frombuffer(take(8 * math.prod(shape)),
+                                         dtype="<f8").reshape(shape)
+    # the Adam section: the step count, then m and v of every parameter
+    end = off + 8 + 16 * sum(arr.size for arr in values.values())
+    if end > size:
+        raise CheckpointFormatError(f"{path}: truncated at byte {off}")
+    if end < size:
+        raise CheckpointFormatError(f"{path}: {size - end} trailing bytes")
+    return Checkpoint(cfg, d_in, d_r, values, path)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, ds: Dataset) -> Model:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import struct
 
 import pytest
 
@@ -145,19 +146,51 @@ def test_eval_bad_checkpoint_config_is_a_format_error(workspace, tmp_path,
     assert str(bad) in err and "'threads' is removed" in err
 
 
-@pytest.mark.parametrize("command", ["eval", "distances"])
+def _renamed(blob: bytes) -> bytes:
+    # same length, so every size prefix still holds
+    return blob.replace(b"ifa.w_m", b"ifa.w_x")
+
+
+def _non_utf8_name(blob: bytes) -> bytes:
+    return blob.replace(b"ifa.w_m", b"ifa.w_\xff")
+
+
+def _with_shape(blob: bytes, dims: list[int]) -> bytes:
+    # the shape field of the record named ifa.w_m, after its ndim byte
+    at = blob.index(b"ifa.w_m") + len(b"ifa.w_m")
+    assert blob[at] == len(dims)
+    return (blob[:at + 1] + struct.pack(f"<{len(dims)}I", *dims)
+            + blob[at + 1 + 4 * len(dims):])
+
+
+def _overflowing_shape(blob: bytes) -> bytes:
+    return _with_shape(blob, [2**32 - 1, 2**32 - 1])  # product > 2**63
+
+
+def _zero_dimension(blob: bytes) -> bytes:
+    return _with_shape(blob, [0, 8])
+
+
+@pytest.mark.parametrize("command, corrupt, message", [
+    pytest.param(command, corrupt, message, id=f"{command}{suffix}")
+    for command in ("eval", "distances")
+    for corrupt, message, suffix in [
+        (_renamed, "missing 'ifa.w_m'", ""),
+        (_overflowing_shape, "truncated at byte", "-overflowing-shape"),
+        (_zero_dimension, "bad parameter name", "-zero-dimension"),
+        (_non_utf8_name, "bad parameter name", "-non-utf8-name"),
+    ]])
 def test_checkpoint_parameter_set_mismatch_is_a_format_error(
-        workspace, tmp_path, capsys, command):
+        workspace, tmp_path, capsys, command, corrupt, message):
     data, run = workspace
     blob = (run / "checkpoint.bin").read_bytes()
     assert blob.count(b"ifa.w_m") == 1
-    bad = tmp_path / "renamed.bin"
-    # same length, so every size prefix still holds
-    bad.write_bytes(blob.replace(b"ifa.w_m", b"ifa.w_x"))
+    bad = tmp_path / "corrupt.bin"
+    bad.write_bytes(corrupt(blob))
     capsys.readouterr()
     assert main([command, "--checkpoint", str(bad), "--data", str(data)]) == 3
     err = capsys.readouterr().err
-    assert str(bad) in err and "missing 'ifa.w_m'" in err
+    assert str(bad) in err and message in err
 
 
 def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
