@@ -2,8 +2,16 @@
 
 Tensors hold rank 1..3 arrays.  Ops record a closure graph; ``backward()``
 on a size-1 tensor accumulates gradients into every reachable tensor that
-has ``requires_grad``.  ``grad_check`` is the verification oracle: every
-analytic rule is compared against central finite differences.
+has ``requires_grad``, and frees the graph as it walks it.  ``grad_check``
+is the verification oracle: every analytic rule is compared against
+central finite differences.
+
+Rank-3 tensors are batches of rank-2 blocks: ``matmul`` multiplies block
+by block, ``transpose`` swaps the last two axes, and ``affine``,
+``softmax_rows`` and ``concat_cols`` act on the last axis.  Where blocks
+are sequences padded to one length, ``lengths`` says how many leading
+rows of each block are real; ``softmax_rows``, ``mean_rows`` and
+``gru_scan`` then keep the padding out of every real result.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -16,11 +24,12 @@ import contextlib
 import numpy as np
 
 __all__ = [
-    "Tensor", "DimensionError", "DegenerateVectorError", "no_grad",
-    "constant", "matmul", "transpose", "reshape", "row", "add", "mul",
-    "scale", "add_scalar", "add_bias", "scale_rows", "affine", "sigmoid",
-    "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat_rows",
-    "concat_cols", "normalize_rows", "take_diag", "gru_scan", "grad_check",
+    "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
+    "no_grad", "constant", "matmul", "transpose", "reshape", "take_rows",
+    "add", "mul", "scale", "add_scalar", "add_bias", "scale_rows", "affine",
+    "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum",
+    "concat_rows", "concat_cols", "normalize_rows", "take_diag", "gru_scan",
+    "grad_check",
 ]
 
 
@@ -40,6 +49,15 @@ class DegenerateVectorError(ValueError):
         super().__init__(f"row {row} has near-zero norm")
         self.row = row
         self.image = None
+
+
+class GraphConsumedError(RuntimeError):
+    """``backward()`` reached a node whose graph an earlier backward freed."""
+
+
+def _consumed(g):
+    raise GraphConsumedError(
+        "backward() through a graph that an earlier backward() consumed")
 
 
 _grad_enabled = True
@@ -89,7 +107,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into .grad for every reachable leaf."""
+        """Accumulate d(self)/d(leaf) into .grad for every reachable leaf.
+
+        The walk frees the graph as it goes: once a node has passed its
+        gradient on, it drops that gradient, its closure and its parents,
+        so the forward graph's memory is released during the walk.  The
+        root keeps its gradient and leaves keep theirs.  A later backward
+        through a consumed node raises ``GraphConsumedError``.
+        """
         if self.data.size != 1:
             raise DimensionError("backward() requires a size-1 tensor")
         order = []
@@ -108,9 +133,14 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bw is not None:
-                node._bw(node.grad)
+        while order:
+            node = order.pop()
+            if node._bw is None:  # a leaf
+                continue
+            node._bw(node.grad)
+            node._bw, node._parents = _consumed, ()
+            if node is not self:
+                node.grad = None
 
 
 def constant(data) -> Tensor:
@@ -132,39 +162,65 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def _acc(t: Tensor, g: np.ndarray):
+def _acc(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Add ``g`` into ``t.grad``.
+
+    A first gradient is stored as is when ``fresh``: a new array that
+    nothing else holds, such as a product.  Otherwise it is copied, since
+    ``g`` may be the upstream gradient itself, a view of it that another
+    operand also receives, or a zero-stride broadcast.
+    """
     if t.grad is None:
-        t.grad = np.array(g)  # copy: g may be shared with another operand
+        t.grad = g if fresh else np.array(g)
     else:
         t.grad += g
 
 
+def _length_mask(lengths, b: int, n: int) -> np.ndarray:
+    """(b, n) bool: True at the first ``lengths[i]`` positions of block i."""
+    lengths = np.asarray(lengths)
+    if lengths.shape != (b,) or not np.all((lengths >= 1) & (lengths <= n)):
+        raise DimensionError(
+            f"lengths must be {b} counts in 1..{n}, got {lengths.tolist()}")
+    return np.arange(n) < lengths[:, None]
+
+
 # ---------------------------------------------------------------- structure
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects rank-2 operands")
-    if a.data.shape[1] != b.data.shape[0]:
+    """a @ b for rank-2 operands; rank-3 (n, p, q) @ (n, q, r) multiplies
+    block by block, the batched product."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim:
         raise DimensionError(
-            f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
+            f"matmul expects two rank-2 or two rank-3 operands, got "
+            f"{a.data.shape} x {b.data.shape}")
+    if (a.data.shape[:-2] != b.data.shape[:-2]
+            or a.data.shape[-1] != b.data.shape[-2]):
+        raise DimensionError(
+            f"matmul extents differ: {a.data.shape} x {b.data.shape}")
     out = _result(a.data @ b.data, (a, b))
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, g @ b.data.T)
+                _acc(a, g @ _swap(b.data), fresh=True)
             if b.requires_grad:
-                _acc(b, a.data.T @ g)
+                _acc(b, _swap(a.data) @ g, fresh=True)
         out._bw = bw
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError("transpose expects a rank-2 tensor")
-    out = _result(a.data.T.copy(), (a,))
+    """The last two axes swapped: a matrix, or each block of a batch."""
+    if a.data.ndim not in (2, 3):
+        raise DimensionError("transpose expects a rank-2 or rank-3 tensor")
+    out = _result(_swap(a.data).copy(), (a,))
     if out.requires_grad:
         def bw(g):
-            _acc(a, g.T)
+            _acc(a, _swap(g))
         out._bw = bw
     return out
 
@@ -180,18 +236,20 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return out
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    """Row ``i`` of a rank-2 tensor, kept rank-2 with shape (1, n)."""
-    if a.data.ndim != 2:
-        raise DimensionError("row expects a rank-2 tensor")
-    if not 0 <= i < a.data.shape[0]:
-        raise DimensionError(f"row {i} outside 0..{a.data.shape[0] - 1}")
-    out = _result(a.data[i:i + 1].copy(), (a,))
+def take_rows(a: Tensor, index) -> Tensor:
+    """Rows ``index`` of a rank-2 tensor, in that order: (len(index), n)."""
+    index = np.asarray(index, dtype=np.intp)
+    if a.data.ndim != 2 or index.ndim != 1:
+        raise DimensionError("take_rows expects a rank-2 tensor and 1-D rows")
+    if np.any((index < 0) | (index >= a.data.shape[0])):
+        raise DimensionError(
+            f"rows {index.tolist()} outside 0..{a.data.shape[0] - 1}")
+    out = _result(a.data[index], (a,))
     if out.requires_grad:
         def bw(g):
             full = np.zeros_like(a.data)
-            full[i] = g[0]
-            _acc(a, full)
+            np.add.at(full, index, g)
+            _acc(a, full, fresh=True)
         out._bw = bw
     return out
 
@@ -220,17 +278,19 @@ def concat_rows(*parts: Tensor) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
+    """``a`` and ``b`` side by side along the last axis (rank 2 or 3)."""
+    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
+            or a.data.shape[:-1] != b.data.shape[:-1]):
         raise DimensionError(
             f"concat_cols height mismatch: {a.data.shape} vs {b.data.shape}")
-    out = _result(np.concatenate([a.data, b.data], axis=1), (a, b))
+    out = _result(np.concatenate([a.data, b.data], axis=-1), (a, b))
     if out.requires_grad:
-        n = a.data.shape[1]
+        n = a.data.shape[-1]
         def bw(g):
             if a.requires_grad:
-                _acc(a, g[:, :n])
+                _acc(a, g[..., :n])
             if b.requires_grad:
-                _acc(b, g[:, n:])
+                _acc(b, g[..., n:])
         out._bw = bw
     return out
 
@@ -243,7 +303,7 @@ def take_diag(s: Tensor) -> Tensor:
         def bw(g):
             full = np.zeros_like(s.data)
             np.fill_diagonal(full, g)
-            _acc(s, full)
+            _acc(s, full, fresh=True)
         out._bw = bw
     return out
 
@@ -275,9 +335,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, g * b.data)
+                _acc(a, g * b.data, fresh=True)
             if b.requires_grad:
-                _acc(b, g * a.data)
+                _acc(b, g * a.data, fresh=True)
         out._bw = bw
     return out
 
@@ -286,7 +346,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = _result(a.data * c, (a,))
     if out.requires_grad:
         def bw(g):
-            _acc(a, g * c)
+            _acc(a, g * c, fresh=True)
         out._bw = bw
     return out
 
@@ -311,27 +371,36 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
             if x.requires_grad:
                 _acc(x, g)
             if b.requires_grad:
-                _acc(b, g.sum(axis=0))
+                _acc(b, g.sum(axis=0), fresh=True)
         out._bw = bw
     return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, the fused workhorse behind every learned projection."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise DimensionError("affine expects x:(m,k) w:(k,n) b:(n,)")
-    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
+    """x @ w + b, the fused workhorse behind every learned projection.
+
+    ``x`` is (m, k) or a batch (b, m, k); every row of it goes through one
+    product, so ``w``'s gradient is one product too.
+    """
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or b.data.ndim != 1:
+        raise DimensionError(
+            "affine expects x:(m,k) or (b,m,k), w:(k,n), b:(n,)")
+    k, n = w.data.shape
+    if x.data.shape[-1] != k or b.data.shape[0] != n:
         raise DimensionError(
             f"affine extents differ: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    out = _result(x.data @ w.data + b.data[None, :], (x, w, b))
+    rows = x.data.reshape(-1, k)
+    out = _result((rows @ w.data + b.data[None, :])
+                  .reshape(x.data.shape[:-1] + (n,)), (x, w, b))
     if out.requires_grad:
         def bw(g):
+            g = g.reshape(-1, n)
             if x.requires_grad:
-                _acc(x, g @ w.data.T)
+                _acc(x, (g @ w.data.T).reshape(x.data.shape), fresh=True)
             if w.requires_grad:
-                _acc(w, x.data.T @ g)
+                _acc(w, rows.T @ g, fresh=True)
             if b.requires_grad:
-                _acc(b, g.sum(axis=0))
+                _acc(b, g.sum(axis=0), fresh=True)
         out._bw = bw
     return out
 
@@ -345,9 +414,9 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if x.requires_grad:
-                _acc(x, g * s.data[:, None])
+                _acc(x, g * s.data[:, None], fresh=True)
             if s.requires_grad:
-                _acc(s, (g * x.data).sum(axis=1))
+                _acc(s, (g * x.data).sum(axis=1), fresh=True)
         out._bw = bw
     return out
 
@@ -365,7 +434,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, g * y * (1.0 - y))
+            _acc(x, g * y * (1.0 - y), fresh=True)
         out._bw = bw
     return out
 
@@ -375,23 +444,34 @@ def relu(x: Tensor) -> Tensor:
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, g * (x.data > 0.0))
+            _acc(x, g * (x.data > 0.0), fresh=True)
         out._bw = bw
     return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor, with row-max subtraction."""
-    if x.data.ndim != 2:
-        raise DimensionError("softmax_rows expects a rank-2 tensor")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+def softmax_rows(x: Tensor, lengths=None) -> Tensor:
+    """Softmax along the last axis of a rank-2 or rank-3 tensor, with
+    row-max subtraction.
+
+    With ``lengths`` (rank 3 only), only the first ``lengths[i]`` entries
+    of each row of block i take part: the others are masked out before
+    the exponential and get probability exactly 0.
+    """
+    if x.data.ndim not in (2, 3) or (lengths is not None and x.data.ndim != 3):
+        raise DimensionError(
+            "softmax_rows expects a rank-2 tensor, or rank-3 with lengths")
+    data = x.data
+    if lengths is not None:
+        keys = _length_mask(lengths, data.shape[0], data.shape[2])
+        data = np.where(keys[:, None, :], data, -np.inf)
+    shifted = data - data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            inner = (g * y).sum(axis=1, keepdims=True)
-            _acc(x, (g - inner) * y)
+            inner = (g * y).sum(axis=-1, keepdims=True)
+            _acc(x, (g - inner) * y, fresh=True)
         out._bw = bw
     return out
 
@@ -409,7 +489,7 @@ def normalize_rows(x: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             inner = (g * y).sum(axis=1, keepdims=True)
-            _acc(x, (g - inner * y) / norms)
+            _acc(x, (g - inner * y) / norms, fresh=True)
         out._bw = bw
     return out
 
@@ -417,89 +497,119 @@ def normalize_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------- recurrence
 
 def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
-             u_h: Tensor, reverse: bool) -> Tensor:
-    """One GRU direction over (n, d) input projections, as one graph node.
+             u_h: Tensor, reverse: bool, lengths=None) -> Tensor:
+    """One GRU direction over input projections, as one graph node.
 
-    Row t of ``x_z``, ``x_r`` and ``x_h`` is token t's input-side
-    pre-activation of each gate; ``u_*`` are the (d, d) recurrent maps.
-    From h = 0, each step in scan order (end to start when ``reverse``)
-    computes
+    The projections are (T, d) for one sequence or (b, T, d) for a padded
+    batch; row t of a sequence's ``x_z``, ``x_r`` and ``x_h`` is token t's
+    input-side pre-activation of each gate, and ``u_*`` are the (d, d)
+    recurrent maps.  ``lengths`` gives each sequence of a batch its number
+    of real tokens (default: all T).  From h = 0, each step in scan order
+    (end to start when ``reverse``) computes, for every sequence at once,
 
         z = sigmoid(x_z[t] + h U_z)     r = sigmoid(x_r[t] + h U_r)
-        c = tanh(x_h[t] + (r * h) U_h)  h <- h + z * (c - h)
+        c = tanh(x_h[t] + (r * h) U_h)  h <- h + m_t * z * (c - h)
 
-    on (1, d) rows, and row t of the output is the h that step t produced.
-    The backward pass is hand-written BPTT: one walk in reverse scan order
-    collects the pre-activation gradients as (n, d) rows, which are the
-    gradients of ``x_*``, and then each U gradient is a single product.
+    on (b, d) rows, where m_t is 1 at a real token and 0 at padding.  A
+    padded step leaves h exactly as it was, so the reverse direction
+    starts at each sequence's own end.  Row t of the output is the h that
+    step t produced.  The backward pass is hand-written BPTT: one walk in
+    reverse scan order collects the pre-activation gradients, which are
+    the gradients of ``x_*``, and then each U gradient is a single product.
     """
     xs, us = (x_z, x_r, x_h), (u_z, u_r, u_h)
     shape = x_z.data.shape
-    if (len(shape) != 2 or shape[0] == 0
+    if (len(shape) not in (2, 3) or shape[-2] == 0
             or any(x.data.shape != shape for x in xs)
-            or any(u.data.shape != (shape[1], shape[1]) for u in us)):
+            or any(u.data.shape != (shape[-1], shape[-1]) for u in us)):
         raise DimensionError(
-            f"gru_scan expects three (n,d) projections and three (d,d) maps; "
-            f"got {[t.data.shape for t in xs + us]}")
-    n, d = shape
-    out = _result(np.empty((n, d)), xs + us)
+            f"gru_scan expects three (T,d) or (b,T,d) projections and three "
+            f"(d,d) maps; got {[t.data.shape for t in xs + us]}")
+    n, d = shape[-2:]
+    seq = [x.data.reshape(-1, n, d) for x in xs]
+    b = seq[0].shape[0]
+    step_on = (np.ones((b, n)) if lengths is None
+               else _length_mask(lengths, b, n).astype(np.float64))[:, :, None]
+    out = _result(np.empty(shape), xs + us)
+    hs = out.data.reshape(b, n, d)
     keep = out.requires_grad
     if keep:  # per-step h_{t-1}, z, r and c, by token position
-        h_prev, zs, rs, cs = (np.empty((n, d)) for _ in range(4))
+        h_prev, zs, rs, cs = (np.empty((b, n, d)) for _ in range(4))
     steps = range(n - 1, -1, -1) if reverse else range(n)
-    h = np.zeros((1, d))
+    h = np.zeros((b, d))
     for t in steps:
-        z = _sigmoid_values(x_z.data[t:t + 1] + h @ u_z.data)
-        r = _sigmoid_values(x_r.data[t:t + 1] + h @ u_r.data)
-        c = np.tanh(x_h.data[t:t + 1] + (r * h) @ u_h.data)
+        z = _sigmoid_values(seq[0][:, t] + h @ u_z.data)
+        r = _sigmoid_values(seq[1][:, t] + h @ u_r.data)
+        c = np.tanh(seq[2][:, t] + (r * h) @ u_h.data)
         if keep:
-            h_prev[t], zs[t], rs[t], cs[t] = h[0], z[0], r[0], c[0]
-        h = h + z * (c - h)
-        out.data[t] = h[0]
+            h_prev[:, t], zs[:, t], rs[:, t], cs[:, t] = h, z, r, c
+        h = h + (z * step_on[:, t]) * (c - h)
+        hs[:, t] = h
     if keep:
         def bw(g):
-            # dh_t (the gradient reaching step t's output) enters
-            #   dA_z = dh_t (c - h_prev) z (1 - z)     dA_h = dh_t z (1 - c^2)
+            # with zm = m z, dh_t (the gradient reaching step t's output)
+            # enters
+            #   dA_z = dh_t (c - h_prev) zm (1 - z)    dA_h = dh_t zm (1 - c^2)
             #   dA_r = (dA_h U_h^T) h_prev r (1 - r)
             # and passes to the step before as
-            #   dh_t (1 - z) + dA_z U_z^T + dA_r U_r^T + (dA_h U_h^T) r
-            k_z = (cs - h_prev) * zs * (1.0 - zs)
-            k_h = zs * (1.0 - cs * cs)
+            #   dh_t (1 - zm) + dA_z U_z^T + dA_r U_r^T + (dA_h U_h^T) r
+            # so a padded step (zm = 0) passes dh_t on unchanged
+            g = g.reshape(b, n, d)
+            zm = zs * step_on
+            k_z = (cs - h_prev) * zm * (1.0 - zs)
+            k_h = zm * (1.0 - cs * cs)
             k_r = h_prev * rs * (1.0 - rs)
-            carry = 1.0 - zs
+            carry = 1.0 - zm
             uz_t, ur_t, uh_t = u_z.data.T, u_r.data.T, u_h.data.T
-            da_z, da_r, da_h = (np.empty((n, d)) for _ in range(3))
-            dh = np.zeros(d)
+            da_z, da_r, da_h = (np.empty((b, n, d)) for _ in range(3))
+            dh = np.zeros((b, d))
             for t in reversed(steps):
-                dh = dh + g[t]
-                da_z[t] = dh * k_z[t]
-                da_h[t] = dh * k_h[t]
-                dq = da_h[t] @ uh_t
-                da_r[t] = dq * k_r[t]
-                dh = (dh * carry[t] + da_z[t] @ uz_t + da_r[t] @ ur_t
-                      + dq * rs[t])
+                dh = dh + g[:, t]
+                da_z[:, t] = dh * k_z[:, t]
+                da_h[:, t] = dh * k_h[:, t]
+                dq = da_h[:, t] @ uh_t
+                da_r[:, t] = dq * k_r[:, t]
+                dh = (dh * carry[:, t] + da_z[:, t] @ uz_t + da_r[:, t] @ ur_t
+                      + dq * rs[:, t])
             for x, da in zip(xs, (da_z, da_r, da_h)):
                 if x.requires_grad:
-                    _acc(x, da)
+                    _acc(x, da.reshape(shape), fresh=True)
             for u, inp, da in ((u_z, h_prev, da_z), (u_r, h_prev, da_r),
                                (u_h, rs * h_prev, da_h)):
                 if u.requires_grad:
-                    _acc(u, inp.T @ da)
+                    _acc(u, inp.reshape(-1, d).T @ da.reshape(-1, d),
+                         fresh=True)
         out._bw = bw
     return out
 
 
 # --------------------------------------------------------------- reductions
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean of a rank-2 tensor."""
-    if x.data.ndim != 2:
-        raise DimensionError("mean_rows expects a rank-2 tensor")
-    m = x.data.shape[0]
-    out = _result(x.data.sum(axis=0) / m, (x,))
+def mean_rows(x: Tensor, lengths=None) -> Tensor:
+    """Mean of the rows of a rank-2 tensor, (m, n) -> (n,).
+
+    With ``lengths``, ``x`` is a padded batch (b, m, n) and row i of the
+    (b, n) result is the mean of block i's first ``lengths[i]`` rows; the
+    padding rows are zeroed before the sum, so they add nothing.
+    """
+    if x.data.ndim != (2 if lengths is None else 3):
+        raise DimensionError("mean_rows expects a rank-2 tensor, or rank-3 "
+                             "with lengths")
+    if lengths is None:
+        keep, count = None, x.data.shape[0]
+        total = x.data.sum(axis=0)
+    else:
+        keep = _length_mask(lengths, *x.data.shape[:2])[:, :, None]
+        count = np.asarray(lengths)[:, None]
+        total = (x.data * keep).sum(axis=1)
+    out = _result(total / count, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, np.broadcast_to(g[None, :] / m, x.data.shape))
+            each = (g / count)[..., None, :]
+            if keep is None:
+                _acc(x, np.broadcast_to(each, x.data.shape))
+            else:
+                _acc(x, each * keep, fresh=True)
         out._bw = bw
     return out
 
@@ -509,7 +619,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     out = _result(np.array([x.data.sum()]), (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, np.full_like(x.data, g[0]))
+            _acc(x, np.full_like(x.data, g[0]), fresh=True)
         out._bw = bw
     return out
 

@@ -43,7 +43,7 @@ def primitive_gradcheck(seed: int = 0) -> float:
     check({"a": a, "b": b}, lambda: ag.matmul(a, b))
     check({"a": a}, lambda: ag.transpose(a))
     check({"a": a}, lambda: ag.reshape(a, (2, 6)))
-    check({"a": a}, lambda: ag.row(a, 1))
+    check({"a": a}, lambda: ag.take_rows(a, [2, 0, 2]))
 
     x = Tensor(_rand(stream, 3, 4), requires_grad=True)
     y = Tensor(_rand(stream, 3, 4), requires_grad=True)
@@ -81,6 +81,26 @@ def primitive_gradcheck(seed: int = 0) -> float:
                   for g in "zrh"})
     for reverse in (False, True):
         check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse))
+
+    # padded batches: three blocks of 4 rows holding 4, 1 and 2 real rows
+    lengths = [4, 1, 2]
+    a3 = Tensor(_rand(stream, 3, 4, 2), requires_grad=True)
+    b3 = Tensor(_rand(stream, 3, 2, 4), requires_grad=True)
+    check({"a": a3, "b": b3}, lambda: ag.matmul(a3, b3))
+    check({"a": a3}, lambda: ag.transpose(a3))
+    check({"a": a3, "b": b3}, lambda: ag.concat_cols(a3, ag.transpose(b3)))
+    w2 = Tensor(_rand(stream, 2, 5), requires_grad=True)
+    check({"x": a3, "w": w2, "b": b5}, lambda: ag.affine(a3, w2, b5))
+    s3 = Tensor(_rand(stream, 3, 4, 4), requires_grad=True)
+    check({"s": s3}, lambda: ag.softmax_rows(s3, lengths))
+    check({"a": a3}, lambda: ag.mean_rows(a3, lengths))
+    gates = {f"x_{g}": Tensor(_rand(stream, 3, 4, 3), requires_grad=True)
+             for g in "zrh"}
+    gates.update({f"u_{g}": Tensor(_rand(stream, 3, 3), requires_grad=True)
+                  for g in "zrh"})
+    for reverse in (False, True):
+        check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse,
+                                         lengths=lengths))
     return worst
 
 

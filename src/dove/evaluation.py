@@ -187,7 +187,7 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
     with no_grad():
         for p, ns in by_image.items():
             (block,) = model.guided_text_rows(
-                ag.row(images.v_r, p),
+                ag.take_rows(images.v_r, [p]),
                 ag.constant(t_g.data[[cols[n] for n in ns]]))
             t_rg[ns] = block.data
 

@@ -1,13 +1,17 @@
 """Gated multi-head self-attention and the dual-branch text enhancer.
 
-Per head (width d_h = d / heads) over an (n, d) input X:
+Per head (width d_h = d / heads) over an (n, d) input X, or over each
+block of a padded (b, T, d) batch:
 
     Q = X W_q + b_q,  K = X W_k + b_k,  V = X W_v + b_v
     G = sigmoid((Q * K) W_a + b_a)          -- multiplicative gate
     out = softmax_rows((G*Q) (G*K)^T / sqrt(d_h)) V
 
 Head outputs are concatenated along the feature axis; there is no extra
-output projection.  Each head owns its gate parameters.
+output projection.  Each head owns its gate parameters.  In a padded
+batch, ``lengths`` gives each block's number of real rows: padded keys
+are masked out before the softmax, so a real row never attends to
+padding, and every other map acts row by row.
 
 The dual-branch enhancer runs two mirrored branches over an input pair
 (A, B).  A branch self-attends A with a residual, turns B's
@@ -40,9 +44,10 @@ def register_ga_params(reg: ParamRegistry, prefix: str, d: int, heads: int):
 
 
 def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
-                         heads: int) -> Tensor:
-    """(n, d) -> (n, d); see the module docstring for the head math."""
-    d = x.data.shape[1]
+                         heads: int, lengths=None) -> Tensor:
+    """(n, d) -> (n, d), or (b, T, d) -> (b, T, d); see the module
+    docstring for the head math."""
+    d = x.data.shape[-1]
     if d % heads != 0:
         raise ag.DimensionError(f"width {d} not divisible by {heads} heads")
     d_h = d // heads
@@ -57,7 +62,7 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
                                     reg[f"{p}.b_a"]))
         scores = ag.scale(ag.matmul(ag.mul(gate, q),
                                     ag.transpose(ag.mul(gate, key))), inv_sqrt)
-        head_out = ag.matmul(ag.softmax_rows(scores), v)
+        head_out = ag.matmul(ag.softmax_rows(scores, lengths), v)
         out = head_out if out is None else ag.concat_cols(out, head_out)
     return out
 
@@ -79,18 +84,20 @@ def register_dtga_params(reg: ParamRegistry, d: int, heads: int):
 
 
 def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
-            heads: int) -> Tensor:
+            heads: int, lengths) -> Tensor:
     """``x`` self-attended with a residual, times ``y``'s probe mask."""
-    enhanced = ag.add(gated_self_attention(x, reg, f"{prefix}.self_attn", heads),
-                      x)
-    probe = gated_self_attention(y, reg, f"{prefix}.probe_attn", heads)
+    enhanced = ag.add(gated_self_attention(x, reg, f"{prefix}.self_attn",
+                                           heads, lengths), x)
+    probe = gated_self_attention(y, reg, f"{prefix}.probe_attn", heads,
+                                 lengths)
     return ag.mul(enhanced, ag.sigmoid(two_layer(probe, reg, f"{prefix}.prob")))
 
 
-def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int) -> Tensor:
+def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
+         lengths=None) -> Tensor:
     """Dual-branch enhancement of the input pair (a, b): the output rows."""
-    combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads),
-                      _branch(b, a, reg, "dtga.bwd", heads))
+    combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads, lengths),
+                      _branch(b, a, reg, "dtga.bwd", heads, lengths))
     return ag.add(two_layer(combined, reg, "dtga.decode"), combined)
 
 
@@ -110,9 +117,10 @@ def select_inputs(h_forward: Tensor, h_backward: Tensor,
 
 
 def word_features(h_forward: Tensor, h_backward: Tensor, reg: ParamRegistry,
-                  heads: int, mode: str = "fb", disabled: bool = False) -> Tensor:
+                  heads: int, mode: str = "fb", disabled: bool = False,
+                  lengths=None) -> Tensor:
     """Word-level text features; the disabled path averages the streams."""
     if disabled:
         return select_inputs(h_forward, h_backward, "avg")[0]
     a, b = select_inputs(h_forward, h_backward, mode)
-    return dtga(a, b, reg, heads)
+    return dtga(a, b, reg, heads, lengths)

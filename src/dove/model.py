@@ -30,6 +30,9 @@ from .config import TrainConfig
 from .objective import cosine_matrix, total_loss
 from .params import ParamRegistry
 
+# captions per padded batch in ``Model.encode_captions``
+CAPTION_CHUNK = 32
+
 
 @dataclass
 class ImageCodes:
@@ -98,16 +101,29 @@ class Model:
                           ag.concat_rows(*v_mr))
 
     def encode_captions(self, token_lists: list[list[int]]) -> Tensor:
-        """(n, d) T_G rows, one per caption."""
-        rows = []
-        for token_ids in token_lists:
-            e = te.embed_tokens(token_ids, self.embedding)
-            hidden = te.bigru(e, self.reg)
+        """(n, d) T_G rows, one per caption, in the order given.
+
+        Captions are sorted by length (stable by position) and encoded in
+        chunks of ``CAPTION_CHUNK``.  Each chunk is one padded batch, as
+        long as its longest caption, that runs through the BiGRU and DTGA
+        as a whole; ``T_G`` is the mean over a caption's real tokens.
+        Padding never reaches a code, so a caption's code does not depend
+        on its chunk-mates beyond the last bits of the batched products.
+        """
+        order = sorted(range(len(token_lists)),
+                       key=lambda i: len(token_lists[i]))
+        chunks = []
+        for start in range(0, len(order), CAPTION_CHUNK):
+            e, lengths = te.embed_captions(
+                [token_lists[i] for i in order[start:start + CAPTION_CHUNK]],
+                self.embedding)
+            hidden = te.bigru(e, self.reg, lengths)
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
                                    self.cfg.heads, mode=self.cfg.dtga_inputs,
-                                   disabled=self.cfg.no_dtga)
-            rows.append(ag.mean_rows(f_g))
-        return ag.concat_rows(*rows)
+                                   disabled=self.cfg.no_dtga, lengths=lengths)
+            chunks.append(ag.mean_rows(f_g, lengths))
+        # the inverse permutation puts caption j's code in row j
+        return ag.take_rows(ag.concat_rows(*chunks), np.argsort(order))
 
     # ------------------------------------------------------- pair scoring
 
@@ -126,8 +142,8 @@ class Model:
         f_r_rows = roam.iga_transform_regions(v_r, self.reg)
         f_g_rows = roam.iga_transform_text(t_g, self.reg)
         for i in range(n):
-            yield roam.iga_guide_rows(ag.row(f_r_rows, i), f_g_rows, self.reg,
-                                      self.cfg.iga_head)
+            yield roam.iga_guide_rows(ag.take_rows(f_r_rows, [i]), f_g_rows,
+                                      self.reg, self.cfg.iga_head)
 
     def final_scores(self, images: ImageCodes, t_g: Tensor) -> Tensor:
         """S_final between every image and every T_G row.
@@ -141,7 +157,8 @@ class Model:
         rows = []
         for i, t_rg in enumerate(self.guided_text_rows(images.v_r, t_g)):
             try:
-                rows.append(cosine_matrix(ag.row(images.v_mr, i), t_rg))
+                rows.append(cosine_matrix(ag.take_rows(images.v_mr, [i]),
+                                          t_rg))
             except ag.DegenerateVectorError as exc:
                 exc.image = i
                 raise

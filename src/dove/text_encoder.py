@@ -1,20 +1,23 @@
 """Token embedding lookup and bidirectional GRU encoding.
 
-The embedding table is ingested data (not a learned parameter); each
-caption is processed individually so sequence length never leaks into
-the math.  Both GRU directions share the structure
+The embedding table is ingested data (not a learned parameter).  A
+batch of captions is one padded (b, T, 300) array with each caption's
+length beside it, and padding never reaches a caption's states: a padded
+step leaves the recurrent state exactly as it was.  Both GRU directions
+share the structure
 
     z_t = sigmoid(e_t W_z + h_{t-1} U_z + b_z)
     r_t = sigmoid(e_t W_r + h_{t-1} U_r + b_r)
     c_t = tanh(e_t W_h + (r_t * h_{t-1}) U_h + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-with h_0 = 0.  The backward direction scans the caption end-to-start and
-stores its state at the position it just consumed.  Each direction
-projects the caption through its W maps in one product, then runs the
-recurrence as one fused graph node (``autograd.gru_scan``) whose
-backward pass is hand-written backpropagation through time, so the
-graph does not grow with caption length.
+with h_0 = 0.  The backward direction scans each caption end-to-start,
+from its own last token, and stores its state at the position it just
+consumed.  Each direction projects the whole batch through its W maps in
+one product, then runs the recurrence as one fused graph node
+(``autograd.gru_scan``) whose backward pass is hand-written
+backpropagation through time, so the graph grows with neither caption
+length nor batch size.
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ class TokenError(ValueError):
 
 @dataclass
 class HiddenStates:
-    forward: Tensor   # (n_tokens, d)
-    backward: Tensor  # (n_tokens, d)
+    forward: Tensor   # (n_tokens, d), or (b, T, d) for a padded batch
+    backward: Tensor  # likewise
 
 
 def register_gru_params(reg: ParamRegistry, d: int):
@@ -59,21 +62,43 @@ def embed_tokens(token_ids: list[int], table: np.ndarray) -> Tensor:
     return ag.constant(table[list(token_ids)])
 
 
-def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool) -> Tensor:
-    # project the whole caption through the input-side maps in one shot
+def embed_captions(token_lists: list[list[int]],
+                   table: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Captions as one constant (b, T, 300) batch and their lengths.
+
+    T is the longest caption's length; the rows past a caption's end are
+    zero.
+    """
+    rows = [embed_tokens(ids, table).data for ids in token_lists]
+    lengths = np.array([len(r) for r in rows])
+    e = np.zeros((len(rows), lengths.max(), EMBED_DIM))
+    for i, r in enumerate(rows):
+        e[i, :len(r)] = r
+    return ag.constant(e), lengths
+
+
+def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool,
+          lengths) -> Tensor:
+    # project every token through the input-side maps in one shot
     x_z = ag.affine(e, reg[f"{prefix}.w_z"], reg[f"{prefix}.b_z"])
     x_r = ag.affine(e, reg[f"{prefix}.w_r"], reg[f"{prefix}.b_r"])
     x_h = ag.affine(e, reg[f"{prefix}.w_h"], reg[f"{prefix}.b_h"])
     return ag.gru_scan(x_z, x_r, x_h, reg[f"{prefix}.u_z"],
-                       reg[f"{prefix}.u_r"], reg[f"{prefix}.u_h"], reverse)
+                       reg[f"{prefix}.u_r"], reg[f"{prefix}.u_h"], reverse,
+                       lengths)
 
 
-def bigru(e: Tensor, reg: ParamRegistry) -> HiddenStates:
-    """Hidden states of both directions, one row per token."""
-    if e.data.ndim != 2 or e.data.shape[1] != EMBED_DIM:
+def bigru(e: Tensor, reg: ParamRegistry, lengths=None) -> HiddenStates:
+    """Hidden states of both directions, one row per token.
+
+    ``e`` is one caption (n_tokens, 300), or a padded batch (b, T, 300)
+    whose ``lengths`` give each caption's token count.
+    """
+    if e.data.ndim not in (2, 3) or e.data.shape[-1] != EMBED_DIM:
         raise ag.DimensionError(
-            f"bigru expects (n_tokens, {EMBED_DIM}), got {e.data.shape}")
+            f"bigru expects (n_tokens, {EMBED_DIM}) or (b, T, {EMBED_DIM}), "
+            f"got {e.data.shape}")
     return HiddenStates(
-        forward=_scan(e, reg, "text.gru.fwd", reverse=False),
-        backward=_scan(e, reg, "text.gru.bwd", reverse=True),
+        forward=_scan(e, reg, "text.gru.fwd", False, lengths),
+        backward=_scan(e, reg, "text.gru.bwd", True, lengths),
     )

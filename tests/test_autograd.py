@@ -199,6 +199,20 @@ def test_bounded_ops_stay_finite():
         assert np.all(np.isfinite(u.grad)) and np.all(np.isfinite(proj.grad))
 
 
+def test_second_backward_through_a_consumed_graph_raises():
+    w = _param([2.0])
+    y = ag.mul(w, w)
+    loss = ag.reduce_sum(y)
+    loss.backward()
+    assert loss.grad[0] == 1.0 and w.grad[0] == 4.0
+    assert y.grad is None and y._parents == ()  # freed by the walk
+    with pytest.raises(ag.GraphConsumedError):
+        loss.backward()
+    with pytest.raises(ag.GraphConsumedError):  # a new root over a freed node
+        ag.scale(y, 2.0).backward()
+    assert w.grad[0] == 4.0
+
+
 def test_gradients_accumulate_across_uses():
     w = _param([2.0])
     # w used twice: d(w*w + w*w)/dw = 4w = 8

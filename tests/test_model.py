@@ -6,6 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dove import autograd as ag
+from dove.model import CAPTION_CHUNK
+
 
 def test_stacked_image_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
     ds = tiny_dataset
@@ -24,21 +27,78 @@ def test_stacked_image_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
         tiny_model.encode_images(ds.msv[:2], ds.roi[:1])
 
 
+def _ragged_captions(seed, n, vocab, longest):
+    rng = np.random.default_rng(seed)
+    return [[int(t) for t in rng.integers(0, vocab, k)]
+            for k in rng.integers(1, longest + 1, n)]
+
+
 def test_stacked_caption_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
-    token_lists = [rec.token_ids for rec in tiny_dataset.captions[:8]]
-    assert len({len(ids) for ids in token_lists}) > 1
-    stacked = tiny_model.encode_captions(token_lists).data
-    assert stacked.shape == (len(token_lists), tiny_model.cfg.d)
+    # mixed lengths over two chunks, with a graph.  Codes and parameter
+    # gradients agree with one-caption graphs to 1e-12, not bit for bit:
+    # a chunk's recurrent products are (b, d) x (d, d), a lone caption's
+    # (1, d) x (d, d), and the two round differently in the last bits.
+    n = CAPTION_CHUNK + 8
+    token_lists = _ragged_captions(0, n, tiny_dataset.embedding.shape[0], 12)
+    weights = np.random.default_rng(1).uniform(-1, 1, (n, tiny_model.cfg.d))
+    params = tiny_model.reg.tensors()
+
+    tiny_model.reg.zero_grad()
+    stacked = tiny_model.encode_captions(token_lists)
+    ag.reduce_sum(ag.mul(stacked, ag.constant(weights))).backward()
+    batch_grads = {k: t.grad.copy() for k, t in params.items()
+                   if t.grad is not None}
+    assert {k.split(".")[0] for k in batch_grads} == {"text", "dtga"}
+    assert stacked.data.shape == (n, tiny_model.cfg.d)
+
+    tiny_model.reg.zero_grad()
     for r, ids in enumerate(token_lists):
-        assert np.array_equal(tiny_model.encode_captions([ids]).data[0],
-                              stacked[r])
+        alone = tiny_model.encode_captions([ids])
+        assert np.allclose(alone.data[0], stacked.data[r], rtol=0, atol=1e-12)
+        ag.reduce_sum(ag.mul(alone, ag.constant(weights[r:r + 1]))).backward()
+    for k, t in params.items():
+        if k in batch_grads:
+            assert np.allclose(batch_grads[k], t.grad, rtol=1e-12,
+                               atol=1e-12), k
+        else:
+            assert t.grad is None, k
+    tiny_model.reg.zero_grad()
+
+
+def test_backward_frees_the_graph_as_it_walks():
+    # with every node's gradient, closure and parents kept to the end,
+    # the backward peaked at 2.4x the forward graph on this batch
+    from dove.batching import Batch
+    from dove.config import TrainConfig
+    from dove.model import Model
+
+    rng = np.random.default_rng(0)
+    d, b = 64, 8
+    model = Model(TrainConfig(d=d, heads=2, batch_size=b, seed=1),
+                  rng.uniform(-1, 1, (40, 300)))
+    model.bind_feature_widths(64, 32)
+    batch = Batch(msv=rng.uniform(-1, 1, (b, 4, 64)),
+                  roi=rng.uniform(-1, 1, (b, 36, 32)),
+                  captions=_ragged_captions(2, b, 40, 8),
+                  image_ids=list(range(b)), caption_ids=list(range(b)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = model.batch_losses(batch)[0]
+        graph = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * graph
+    assert all(t.grad is not None for t in model.reg.tensors().values())
 
 
 def test_final_grid_holds_one_guided_block_at_a_time():
     # 40 images x 400 captions at d=64: all T_RG blocks together take
     # N*M*d*8 bytes (8.2 MB); guided one image at a time, the grid's peak
     # stays far below that
-    from dove import autograd as ag
     from dove.config import TrainConfig
     from dove.model import ImageCodes, Model
 

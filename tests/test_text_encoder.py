@@ -95,16 +95,21 @@ def test_gradients_flow_to_every_gate():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gru_scan_matches_oracle_direction(seed):
+    # one padded batch of ragged captions; every caption's rows match the
+    # oracle run on that caption alone
     reg, vals = fresh(seed + 20)
-    e = np.random.default_rng(seed).uniform(-1, 1, (3 + seed, EMBED_DIM))
+    rng = np.random.default_rng(seed)
+    lengths = np.array([3 + seed, 1, 2 + seed // 2])
+    e = rng.uniform(-1, 1, (3, lengths.max(), EMBED_DIM))
     for direction, reverse in (("fwd", False), ("bwd", True)):
         p = f"text.gru.{direction}"
         x = [ag.affine(ag.constant(e), reg[f"{p}.w_{g}"], reg[f"{p}.b_{g}"])
              for g in ("z", "r", "h")]
         got = ag.gru_scan(*x, *(reg[f"{p}.u_{g}"] for g in ("z", "r", "h")),
-                          reverse=reverse)
-        want = oracles.gru_direction(e, vals, p, reverse)
-        assert np.allclose(got.data, want, rtol=0.0, atol=1e-12)
+                          reverse=reverse, lengths=lengths)
+        for i, n in enumerate(lengths):
+            want = oracles.gru_direction(e[i, :n], vals, p, reverse)
+            assert np.allclose(got.data[i, :n], want, rtol=0.0, atol=1e-12)
 
 
 def _graph_size(root):
@@ -118,9 +123,25 @@ def _graph_size(root):
 
 
 def test_direction_graph_size_does_not_grow_with_caption_length():
+    # nor with the number of captions in a padded batch
     reg, _ = fresh(5)
     rng = np.random.default_rng(3)
-    sizes = {n: _graph_size(bigru(ag.constant(rng.uniform(-1, 1, (n, EMBED_DIM))),
-                                  reg).forward)
-             for n in (3, 15)}
-    assert sizes[3] == sizes[15]
+    sizes = set()
+    for b, n in ((1, 3), (2, 3), (6, 15)):
+        lengths = rng.integers(1, n + 1, b)
+        lengths[0] = n
+        e = ag.constant(rng.uniform(-1, 1, (b, n, EMBED_DIM)))
+        sizes.add(_graph_size(bigru(e, reg, lengths).forward))
+    assert len(sizes) == 1
+
+
+def test_caption_graph_size_does_not_grow_with_captions(tiny_model):
+    # Model.encode_captions: 4 and 16 captions of one maximum length
+    rng = np.random.default_rng(4)
+    sizes = set()
+    for n in (4, 16):
+        token_lists = [[int(t) for t in rng.integers(0, 20, k)]
+                       for k in rng.integers(1, 10, n)]
+        token_lists[0] = [1] * 9
+        sizes.add(_graph_size(tiny_model.encode_captions(token_lists)))
+    assert len(sizes) == 1
