@@ -6,6 +6,13 @@ has ``requires_grad``, and frees the graph as it walks it.  ``grad_check``
 is the verification oracle: every analytic rule is compared against
 central finite differences.
 
+``add`` and ``mul`` broadcast as NumPy does, provided one operand's
+shape is the broadcast shape: a row (n,) or a column (m, 1) against an
+(m, n) operand, say.  The result then has that operand's shape, and the
+other operand's gradient is summed down to its own shape.  Any other
+pair, one whose broadcast is larger than both operands or that does not
+broadcast at all, raises ``DimensionError``.
+
 Rank-3 tensors are batches of rank-2 blocks: ``matmul`` multiplies block
 by block, ``transpose`` swaps the last two axes, and ``affine``,
 ``softmax_rows`` and ``concat_cols`` act on the last axis.  Where blocks
@@ -25,8 +32,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
-    "no_grad", "constant", "matmul", "transpose", "reshape", "take_rows",
-    "add", "mul", "scale", "add_scalar", "add_bias", "scale_rows", "affine",
+    "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
+    "scale", "add_scalar", "affine",
     "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum",
     "concat_rows", "concat_cols", "normalize_rows", "take_diag", "gru_scan",
     "grad_check",
@@ -225,17 +232,6 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise DimensionError(f"cannot reshape {a.data.shape} to {shape}")
-    out = _result(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(a, g.reshape(a.data.shape))
-        out._bw = bw
-    return out
-
-
 def take_rows(a: Tensor, index) -> Tensor:
     """Rows ``index`` of a rank-2 tensor, in that order: (len(index), n)."""
     index = np.asarray(index, dtype=np.intp)
@@ -310,34 +306,52 @@ def take_diag(s: Tensor) -> Tensor:
 
 # -------------------------------------------------------------- elementwise
 
-def _same_shape(a: Tensor, b: Tensor, name: str):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(
-            f"{name} requires equal shapes: {a.data.shape} vs {b.data.shape}")
+def _check_broadcast(a: Tensor, b: Tensor, name: str):
+    """Reject a pair unless one operand's shape is their broadcast shape."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
+        return
+    try:
+        shape = np.broadcast_shapes(sa, sb)
+    except ValueError:
+        shape = None
+    if shape not in (sa, sb):
+        raise DimensionError(f"{name} cannot broadcast {sa} with {sb}")
+
+
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """``g`` summed down to a broadcast operand's ``shape``: over the
+    leading axes the operand lacks, then over its size-1 axes."""
+    if g.shape == shape:
+        return g
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    ones = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=ones, keepdims=True) if ones else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
+    _check_broadcast(a, b, "add")
     out = _result(a.data + b.data, (a, b))
     if out.requires_grad:
         def bw(g):
-            if a.requires_grad:
-                _acc(a, g)
-            if b.requires_grad:
-                _acc(b, g)
+            for t in (a, b):
+                if t.requires_grad:
+                    gt = _sum_to(g, t.data.shape)
+                    _acc(t, gt, fresh=gt is not g)
         out._bw = bw
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
+    _check_broadcast(a, b, "mul")
     out = _result(a.data * b.data, (a, b))
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, g * b.data, fresh=True)
+                _acc(a, _sum_to(g * b.data, a.data.shape), fresh=True)
             if b.requires_grad:
-                _acc(b, g * a.data, fresh=True)
+                _acc(b, _sum_to(g * a.data, b.data.shape), fresh=True)
         out._bw = bw
     return out
 
@@ -356,22 +370,6 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     if out.requires_grad:
         def bw(g):
             _acc(a, g)
-        out._bw = bw
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[m,n] + b[n] broadcast over rows."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"add_bias expects (m,n) and (n,); got {x.data.shape}, {b.data.shape}")
-    out = _result(x.data + b.data[None, :], (x, b))
-    if out.requires_grad:
-        def bw(g):
-            if x.requires_grad:
-                _acc(x, g)
-            if b.requires_grad:
-                _acc(b, g.sum(axis=0), fresh=True)
         out._bw = bw
     return out
 
@@ -401,22 +399,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 _acc(w, rows.T @ g, fresh=True)
             if b.requires_grad:
                 _acc(b, g.sum(axis=0), fresh=True)
-        out._bw = bw
-    return out
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Row i of x scaled by s[i]."""
-    if x.data.ndim != 2 or s.data.ndim != 1 or x.data.shape[0] != s.data.shape[0]:
-        raise DimensionError(
-            f"scale_rows expects (m,n) and (m,); got {x.data.shape}, {s.data.shape}")
-    out = _result(x.data * s.data[:, None], (x, s))
-    if out.requires_grad:
-        def bw(g):
-            if x.requires_grad:
-                _acc(x, g * s.data[:, None], fresh=True)
-            if s.requires_grad:
-                _acc(s, (g * x.data).sum(axis=1), fresh=True)
         out._bw = bw
     return out
 

@@ -3,7 +3,7 @@
 A feature bank is a little-endian binary container:
 
     bytes 0..7   magic "DOVEFB01" (format name + version)
-    bytes 8..19  three uint32: n_samples, rows, cols
+    bytes 8..19  three uint32: n_samples, rows, cols (each at least 1)
     payload      n_samples*rows*cols float32, sample-major row-major
 
 Values are upcast to float64 on load.  Caption files are UTF-8 lines
@@ -74,6 +74,9 @@ def read_bank_header(path: str) -> tuple[int, int, int]:
 def load_feature_bank(path: str) -> np.ndarray:
     """Load a bank as float64 with shape (n_samples, rows, cols)."""
     n, rows, cols = read_bank_header(path)
+    for name, size in (("samples", n), ("rows", rows), ("cols", cols)):
+        if size == 0:
+            raise BankPayloadError(f"{path}: header declares zero {name}")
     expected = n * rows * cols
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)

@@ -43,9 +43,9 @@ def triplet_loss(s: Tensor, alpha: float) -> Tensor:
     # score grids written with short decimals hinge to exact short
     # decimals as well
     by_image = ag.add_scalar(
-        ag.transpose(ag.add_bias(ag.transpose(s), neg_diag)), alpha)
+        ag.transpose(ag.add(ag.transpose(s), neg_diag)), alpha)
     # (S_ij - S_jj) + alpha: same, down each column's positive
-    by_text = ag.add_scalar(ag.add_bias(s, neg_diag), alpha)
+    by_text = ag.add_scalar(ag.add(s, neg_diag), alpha)
     hinge = ag.add(ag.relu(ag.mul(by_image, off)), ag.relu(ag.mul(by_text, off)))
     return ag.reduce_sum(hinge)
 

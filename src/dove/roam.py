@@ -93,7 +93,9 @@ def iga_guide_rows(f_r_row: Tensor, f_g_rows: Tensor, reg: ParamRegistry,
     the (n, d) text projections.  Row j is T_RG for pair (image, text_j),
     and its gate reads only row j, so each pair is guided on its own.
     """
-    gates = ag.sigmoid(ag.matmul(f_g_rows, ag.transpose(f_r_row)))
-    u = ag.scale_rows(f_g_rows,
-                      ag.add_scalar(ag.reshape(gates, (gates.data.shape[0],)), 1.0))
+    if f_r_row.data.shape[0] != 1:
+        raise ag.DimensionError(
+            f"guidance takes one (1, d) region row, got {f_r_row.data.shape}")
+    gates = ag.sigmoid(ag.matmul(f_g_rows, ag.transpose(f_r_row)))  # (n, 1)
+    u = ag.mul(f_g_rows, ag.add_scalar(gates, 1.0))
     return _head(u, reg, "iga.head", head)

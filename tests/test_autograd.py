@@ -92,6 +92,38 @@ def test_gru_scan_rejects_mismatched_shapes():
             ag.gru_scan(*operands, False)
 
 
+@pytest.mark.parametrize("op,np_op", [(ag.add, np.add), (ag.mul, np.multiply)])
+@pytest.mark.parametrize("small", [(4,), (3, 1)])
+def test_broadcast_forward_matches_numpy(op, np_op, small):
+    rng = np.random.default_rng(7)
+    big, part = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, small)
+    assert np.array_equal(op(_param(big), _param(part)).data, np_op(big, part))
+    assert np.array_equal(op(_param(part), _param(big)).data, np_op(part, big))
+
+
+def test_broadcast_gradient_sums_down_to_the_operand():
+    # the reductions are exactly the bias row's g.sum(axis=0) and the gate
+    # column's (g * x).sum(axis=1), bit for bit
+    rng = np.random.default_rng(8)
+    x, g = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4))
+    row = _param(rng.uniform(-1, 1, 4))
+    col = _param(rng.uniform(-1, 1, (3, 1)))
+    ag.reduce_sum(ag.mul(ag.add(_param(x), row), ag.constant(g))).backward()
+    assert np.array_equal(row.grad, g.sum(axis=0))
+    ag.reduce_sum(ag.mul(ag.mul(col, _param(x)), ag.constant(g))).backward()
+    assert np.array_equal(col.grad, (g * x).sum(axis=1)[:, None])
+
+
+@pytest.mark.parametrize("op", [ag.add, ag.mul])
+@pytest.mark.parametrize("a,b", [((3,), (3, 1)), ((3, 4), (4, 3)),
+                                 ((3, 1), (1, 4)), ((3, 4), (3,)),
+                                 ((2, 3, 4), (3, 1, 4))])
+def test_broadcast_to_neither_operands_shape_raises(op, a, b):
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(DimensionError):
+            op(*(_param(np.ones(shape)) for shape in pair))
+
+
 def test_concat_rows_shapes():
     out = ag.concat_rows(_param(np.zeros((4, 5))), _param(np.ones((3, 5))))
     assert out.data.shape == (7, 5)

@@ -4,14 +4,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from dove.cli import ABLATIONS, build_parser, main, resolve_config
 from dove.config import FIELD_TYPES, TrainConfig, config_hash
 from dove.dataio import (UNKNOWN_ID, load_dataset, load_embedding_table,
-                         write_embedding_table)
+                         write_embedding_table, write_feature_bank)
 from dove.model import Model
 from dove.optimizer import init_adam
 from dove.train import save_checkpoint
@@ -285,6 +287,24 @@ def test_dataset_of_other_feature_widths_is_a_usage_error(
     assert main([command, "--checkpoint", str(run / "checkpoint.bin"),
                  "--data", str(other)]) == 2
     assert f"feature widths changed: {widths} vs (6, 4)" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("name,shape", [("msv.fb", (6, 3, 0)),
+                                        ("roi.fb", (6, 0, 4)),
+                                        ("embedding.fb", (0, 1, 300))])
+def test_bank_with_a_zero_extent_is_an_io_error(
+        workspace, tmp_path, capsys, command, name, shape):
+    data, run = workspace
+    other = tmp_path / "data"
+    shutil.copytree(data, other)
+    write_feature_bank(str(other / name), np.zeros(shape))
+    args = (["--out", str(tmp_path / "o")] + TRAIN_FLAGS if command == "train"
+            else ["--checkpoint", str(run / "checkpoint.bin")])
+    capsys.readouterr()
+    assert main([command, "--data", str(other)] + args) == 3
+    assert f"error: {other / name}: header declares zero" in \
         capsys.readouterr().err
 
 

@@ -1,6 +1,7 @@
 """Feature banks, vocabulary, captions, embedding table, dataset assembly."""
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_bank_oversized_payload(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"\x00" * 8)
     with pytest.raises(BankPayloadError):
+        load_feature_bank(path)
+
+
+@pytest.mark.parametrize("shape,extent", [((0, 2, 3), "samples"),
+                                          ((2, 0, 3), "rows"),
+                                          ((2, 3, 0), "cols")])
+def test_bank_zero_extent_is_rejected(tmp_path, shape, extent):
+    # the header and the empty payload agree, but no model can read it
+    path = bank_path(tmp_path, np.zeros(shape))
+    assert read_bank_header(path) == shape
+    message = f"{re.escape(path)}: header declares zero {extent}"
+    with pytest.raises(BankPayloadError, match=message):
         load_feature_bank(path)
 
 

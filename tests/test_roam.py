@@ -20,14 +20,14 @@ def ifa_registry(seed, head):
     return reg, {n: t.data for n, t in reg.tensors().items()}
 
 
-def iga_registry(seed, head):
+def iga_registry(seed, head, d=D):
     reg = ParamRegistry(seed)
-    register_iga_params(reg, D, head)
+    register_iga_params(reg, d, head)
     return reg, {n: t.data for n, t in reg.tensors().items()}
 
 
-def rows(seed, n):
-    return np.random.default_rng(seed).uniform(-1, 1, (n, D))
+def rows(seed, n, d=D):
+    return np.random.default_rng(seed).uniform(-1, 1, (n, d))
 
 
 def guide(reg, e_r, texts, head):
@@ -95,11 +95,13 @@ def test_iga_matches_oracle(seed, head):
                        atol=1e-12)
 
 
-def test_iga_guide_rejects_matrices():
-    # guidance takes one pooled region vector per image, not a row set
-    reg, _ = iga_registry(0, "nonlinear")
-    f_r_rows = iga_transform_regions(ag.constant(rows(0, 2)), reg)
-    f_g_rows = iga_transform_text(ag.constant(rows(1, 3)), reg)
+@pytest.mark.parametrize("d", [D, 2])
+def test_iga_guide_rejects_matrices(d):
+    # guidance takes one pooled region vector per image, not a row set; at
+    # width 2 the (3, 2) gates of two region rows have the text rows' shape
+    reg, _ = iga_registry(0, "nonlinear", d)
+    f_r_rows = iga_transform_regions(ag.constant(rows(0, 2, d)), reg)
+    f_g_rows = iga_transform_text(ag.constant(rows(1, 3, d)), reg)
     with pytest.raises(ag.DimensionError):
         iga_guide_rows(f_r_rows, f_g_rows, reg)
 
