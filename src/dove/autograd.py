@@ -14,11 +14,14 @@ pair, one whose broadcast is larger than both operands or that does not
 broadcast at all, raises ``DimensionError``.
 
 Rank-3 tensors are batches of rank-2 blocks: ``matmul`` multiplies block
-by block, ``transpose`` swaps the last two axes, and ``affine``,
-``softmax_rows`` and ``concat_cols`` act on the last axis.  Where blocks
-are sequences padded to one length, ``lengths`` says how many leading
-rows of each block are real; ``softmax_rows``, ``mean_rows`` and
-``gru_scan`` then keep the padding out of every real result.
+by block, ``transpose`` swaps the last two axes, ``affine`` and
+``softmax_rows`` act on the last axis, ``concat`` joins along either of
+the last two, and ``mean_rows`` pools each block's rows.  All but
+``mean_rows`` take a single rank-2 block too, and run the same code on
+it.  Where blocks are sequences padded to one length, ``lengths`` says
+how many leading rows of each block are real; ``softmax_rows``,
+``mean_rows`` and ``gru_scan`` then keep the padding out of every real
+result.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -34,8 +37,8 @@ __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
     "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
     "scale", "add_scalar", "affine",
-    "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum",
-    "concat_rows", "concat_cols", "normalize_rows", "take_diag", "gru_scan",
+    "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat",
+    "normalize_rows", "take_diag", "gru_scan",
     "grad_check",
 ]
 
@@ -174,8 +177,8 @@ def _acc(t: Tensor, g: np.ndarray, fresh: bool = False):
 
     A first gradient is stored as is when ``fresh``: a new array that
     nothing else holds, such as a product.  Otherwise it is copied, since
-    ``g`` may be the upstream gradient itself, a view of it that another
-    operand also receives, or a zero-stride broadcast.
+    ``g`` may be the upstream gradient itself or a view of it that another
+    operand also receives.
     """
     if t.grad is None:
         t.grad = g if fresh else np.array(g)
@@ -250,43 +253,31 @@ def take_rows(a: Tensor, index) -> Tensor:
     return out
 
 
-def concat_rows(*parts: Tensor) -> Tensor:
-    """Parts stacked top to bottom; a rank-1 part of width n is one row.
+def concat(*parts: Tensor, axis: int) -> Tensor:
+    """Parts joined along ``axis``: -2 stacks rows, -1 sets columns side
+    by side.
 
-    One node for any number of parts: stacking n rows copies each once,
-    where chained pairwise concatenation copies O(n^2) rows.
+    The parts share one rank, 2 or 3, and every extent but ``axis``.  One
+    node for any number of parts: joining n parts copies each once, where
+    chained pairwise joins copy O(n^2) rows.
     """
-    blocks = [p.data[None, :] if p.data.ndim == 1 else p.data for p in parts]
-    if not blocks or any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1]
-                         for b in blocks):
-        raise DimensionError(
-            f"concat_rows expects rank-1/2 parts of one width, got "
-            f"{[p.data.shape for p in parts]}")
-    out = _result(np.concatenate(blocks, axis=0), parts)
+    shapes = [p.data.shape for p in parts]
+    error = DimensionError(f"concat expects rank-2 or rank-3 parts that "
+                           f"differ only along axis -2 or -1, got {shapes} "
+                           f"along {axis}")
+    if axis not in (-2, -1) or any(len(s) not in (2, 3) for s in shapes):
+        raise error
+    try:  # NumPy rejects no parts, mixed ranks and other extents
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise error from None
+    out = _result(data, parts)
     if out.requires_grad:
-        ends = np.cumsum([b.shape[0] for b in blocks])
+        ends = np.cumsum([s[axis] for s in shapes])[:-1]
         def bw(g):
-            for p, end, block in zip(parts, ends, blocks):
+            for p, gp in zip(parts, np.split(g, ends, axis=axis)):
                 if p.requires_grad:
-                    _acc(p, g[end - block.shape[0]:end].reshape(p.data.shape))
-        out._bw = bw
-    return out
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """``a`` and ``b`` side by side along the last axis (rank 2 or 3)."""
-    if (a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim
-            or a.data.shape[:-1] != b.data.shape[:-1]):
-        raise DimensionError(
-            f"concat_cols height mismatch: {a.data.shape} vs {b.data.shape}")
-    out = _result(np.concatenate([a.data, b.data], axis=-1), (a, b))
-    if out.requires_grad:
-        n = a.data.shape[-1]
-        def bw(g):
-            if a.requires_grad:
-                _acc(a, g[..., :n])
-            if b.requires_grad:
-                _acc(b, g[..., n:])
+                    _acc(p, gp)
         out._bw = bw
     return out
 
@@ -568,30 +559,22 @@ def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
 # --------------------------------------------------------------- reductions
 
 def mean_rows(x: Tensor, lengths=None) -> Tensor:
-    """Mean of the rows of a rank-2 tensor, (m, n) -> (n,).
+    """Mean of the rows of each block of a batch, (b, m, n) -> (b, n).
 
-    With ``lengths``, ``x`` is a padded batch (b, m, n) and row i of the
-    (b, n) result is the mean of block i's first ``lengths[i]`` rows; the
-    padding rows are zeroed before the sum, so they add nothing.
+    Row i of the result is the mean of block i's first ``lengths[i]``
+    rows (default: all m); the padding rows are zeroed before the sum, so
+    they add nothing.
     """
-    if x.data.ndim != (2 if lengths is None else 3):
-        raise DimensionError("mean_rows expects a rank-2 tensor, or rank-3 "
-                             "with lengths")
-    if lengths is None:
-        keep, count = None, x.data.shape[0]
-        total = x.data.sum(axis=0)
-    else:
-        keep = _length_mask(lengths, *x.data.shape[:2])[:, :, None]
-        count = np.asarray(lengths)[:, None]
-        total = (x.data * keep).sum(axis=1)
-    out = _result(total / count, (x,))
+    if x.data.ndim != 3:
+        raise DimensionError("mean_rows expects a rank-3 tensor")
+    b, m = x.data.shape[:2]
+    lengths = np.full(b, m) if lengths is None else np.asarray(lengths)
+    keep = _length_mask(lengths, b, m)[:, :, None]
+    count = lengths[:, None]
+    out = _result((x.data * keep).sum(axis=1) / count, (x,))
     if out.requires_grad:
         def bw(g):
-            each = (g / count)[..., None, :]
-            if keep is None:
-                _acc(x, np.broadcast_to(each, x.data.shape))
-            else:
-                _acc(x, each * keep, fresh=True)
+            _acc(x, (g / count)[:, None, :] * keep, fresh=True)
         out._bw = bw
     return out
 

@@ -172,7 +172,7 @@ def load_captions(path: str, vocab: dict[str, int],
             if image_index < 0 or (n_images is not None and image_index >= n_images):
                 raise CaptionFormatError(
                     f"{path}:{lineno}: image index {image_index} out of range")
-            tokens = [normalize_token(t) for t in text.split() if normalize_token(t)]
+            tokens = [tok for tok in map(normalize_token, text.split()) if tok]
             if not tokens:
                 raise CaptionFormatError(f"{path}:{lineno}: caption has no tokens")
             ids = []

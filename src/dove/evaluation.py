@@ -276,6 +276,9 @@ def subset_eval(ds: Dataset, full: SimilarityResult,
     if not rows:
         raise ValueError("subset does not intersect the evaluated images")
     cols = [c for c, i in enumerate(full.text_to_image) if i in wanted]
+    if not cols:
+        raise ValueError("the subset's images have no captions among the "
+                         "evaluated texts")
     sim = SimilarityResult(full.scores[np.ix_(rows, cols)],
                            [full.image_ids[r] for r in rows],
                            [full.caption_ids[c] for c in cols],

@@ -52,7 +52,7 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
         raise ag.DimensionError(f"width {d} not divisible by {heads} heads")
     d_h = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_h)
-    out = None
+    outs = []
     for k in range(heads):
         p = f"{prefix}.h{k}"
         q = ag.affine(x, reg[f"{p}.w_q"], reg[f"{p}.b_q"])
@@ -62,9 +62,8 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
                                     reg[f"{p}.b_a"]))
         scores = ag.scale(ag.matmul(ag.mul(gate, q),
                                     ag.transpose(ag.mul(gate, key))), inv_sqrt)
-        head_out = ag.matmul(ag.softmax_rows(scores, lengths), v)
-        out = head_out if out is None else ag.concat_cols(out, head_out)
-    return out
+        outs.append(ag.matmul(ag.softmax_rows(scores, lengths), v))
+    return ag.concat(*outs, axis=-1)
 
 
 def _register_map(reg: ParamRegistry, prefix: str, d: int):

@@ -30,8 +30,9 @@ from .config import TrainConfig
 from .objective import cosine_matrix, total_loss
 from .params import ParamRegistry
 
-# captions per padded batch in ``Model.encode_captions``
-CAPTION_CHUNK = 32
+# images or captions per batch in ``Model.encode_images`` and
+# ``Model.encode_captions``
+CHUNK = 32
 
 
 @dataclass
@@ -86,25 +87,29 @@ class Model:
         per-image arrays, such as views into the feature banks.  Each
         image's rows are an unordered set: they enter the graph sorted by
         their bytes, so every order of them yields the same codes, bit for
-        bit.
+        bit.  Images are encoded in chunks of ``CHUNK``, each one
+        (b, rows, width) batch through projection and fusion; an image's
+        code does not depend on its chunk-mates.
         """
-        v_m, v_r, v_mr = [], [], []
-        for m, r in zip(msv, roi, strict=True):
-            f_m = ve.msv_project(ag.constant(_canonical(m)), self.reg)
-            f_r = ve.roi_project(ag.constant(_canonical(r)), self.reg)
+        pairs = list(zip(msv, roi, strict=True))
+        codes = ([], [], [])
+        for start in range(0, len(pairs), CHUNK):
+            chunk = pairs[start:start + CHUNK]
+            f_m = ve.msv_project(ag.constant(
+                np.stack([_canonical(m) for m, _ in chunk])), self.reg)
+            f_r = ve.roi_project(ag.constant(
+                np.stack([_canonical(r) for _, r in chunk])), self.reg)
             f_mr = roam.fuse_visual(f_m, f_r, self.reg, self.cfg.ifa_head,
                                     disabled=self.cfg.no_ifa)
-            v_m.append(ag.mean_rows(f_m))
-            v_r.append(ag.mean_rows(f_r))
-            v_mr.append(ag.mean_rows(f_mr))
-        return ImageCodes(ag.concat_rows(*v_m), ag.concat_rows(*v_r),
-                          ag.concat_rows(*v_mr))
+            for rows, f in zip(codes, (f_m, f_r, f_mr)):
+                rows.append(ag.mean_rows(f))
+        return ImageCodes(*(ag.concat(*rows, axis=-2) for rows in codes))
 
     def encode_captions(self, token_lists: list[list[int]]) -> Tensor:
         """(n, d) T_G rows, one per caption, in the order given.
 
         Captions are sorted by length (stable by position) and encoded in
-        chunks of ``CAPTION_CHUNK``.  Each chunk is one padded batch, as
+        chunks of ``CHUNK``.  Each chunk is one padded batch, as
         long as its longest caption, that runs through the BiGRU and DTGA
         as a whole; ``T_G`` is the mean over a caption's real tokens.
         Padding never reaches a code, so a caption's code does not depend
@@ -113,9 +118,9 @@ class Model:
         order = sorted(range(len(token_lists)),
                        key=lambda i: len(token_lists[i]))
         chunks = []
-        for start in range(0, len(order), CAPTION_CHUNK):
+        for start in range(0, len(order), CHUNK):
             e, lengths = te.embed_captions(
-                [token_lists[i] for i in order[start:start + CAPTION_CHUNK]],
+                [token_lists[i] for i in order[start:start + CHUNK]],
                 self.embedding)
             hidden = te.bigru(e, self.reg, lengths)
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
@@ -123,7 +128,7 @@ class Model:
                                    disabled=self.cfg.no_dtga, lengths=lengths)
             chunks.append(ag.mean_rows(f_g, lengths))
         # the inverse permutation puts caption j's code in row j
-        return ag.take_rows(ag.concat_rows(*chunks), np.argsort(order))
+        return ag.take_rows(ag.concat(*chunks, axis=-2), np.argsort(order))
 
     # ------------------------------------------------------- pair scoring
 
@@ -162,7 +167,7 @@ class Model:
             except ag.DegenerateVectorError as exc:
                 exc.image = i
                 raise
-        return ag.concat_rows(*rows)
+        return ag.concat(*rows, axis=-2)
 
     def score_matrices(self, images: ImageCodes,
                        t_g: Tensor) -> tuple[Tensor, Tensor]:

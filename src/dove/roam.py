@@ -1,11 +1,11 @@
 """Region-oriented attention: visual fusion and visual-guided text.
 
-Fusion (over one image) relates multiscale rows F_M (n_m, d) to region
-rows F_R (n_r, d):
+Fusion relates each image's multiscale rows to its region rows, over a
+batch of b images: F_M (b, n_m, d) and F_R (b, n_r, d), block by block:
 
     F_M' = F_M W_m + b_m          F_R' = F_R W_r + b_r
-    S    = sigmoid(F_M' F_R'^T)                       -- (n_m, n_r)
-    rows = [S F_R' + F_M' ; S^T F_M' + F_R']          -- (n_m + n_r, d)
+    S    = sigmoid(F_M' F_R'^T)                       -- (b, n_m, n_r)
+    rows = [S F_R' + F_M' ; S^T F_M' + F_R']          -- (b, n_m + n_r, d)
     F_MR = head(rows)
 
 Guidance (per image-text pair) gates a pooled text vector by its scalar
@@ -58,13 +58,13 @@ def _head(x: Tensor, reg: ParamRegistry, prefix: str, head: str) -> Tensor:
 
 def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry,
              head: str = "linear") -> Tensor:
-    """Fused visual rows, shape (n_m + n_r, d)."""
+    """Fused visual rows, shape (b, n_m + n_r, d)."""
     fm = ag.affine(f_m, reg["ifa.w_m"], reg["ifa.b_m"])
     fr = ag.affine(f_r, reg["ifa.w_r"], reg["ifa.b_r"])
     rel = ag.sigmoid(ag.matmul(fm, ag.transpose(fr)))
     region_to_scale = ag.add(ag.matmul(rel, fr), fm)
     scale_to_region = ag.add(ag.matmul(ag.transpose(rel), fm), fr)
-    rows = ag.concat_rows(region_to_scale, scale_to_region)
+    rows = ag.concat(region_to_scale, scale_to_region, axis=-2)
     return _head(rows, reg, "ifa.head", head)
 
 
@@ -72,7 +72,7 @@ def fuse_visual(f_m: Tensor, f_r: Tensor, reg: ParamRegistry,
                 head: str = "linear", disabled: bool = False) -> Tensor:
     """Fused rows, or the plain row concatenation when fusion is off."""
     if disabled:
-        return ag.concat_rows(f_m, f_r)
+        return ag.concat(f_m, f_r, axis=-2)
     return ifa_fuse(f_m, f_r, reg, head)
 
 

@@ -21,7 +21,8 @@ def register_visual_params(reg: ParamRegistry, d: int, d_in: int, d_r: int):
 
 
 def msv_project(m_v: Tensor, reg: ParamRegistry) -> Tensor:
-    """(n_m, d_in) -> (n_m, d): residual MLP over (adapted) multiscale rows."""
+    """(b, n_m, d_in) -> (b, n_m, d): residual MLP over (adapted) multiscale
+    rows."""
     x = m_v
     if "visual.msv.adapter.w" in reg:
         x = ag.affine(x, reg["visual.msv.adapter.w"], reg["visual.msv.adapter.b"])
@@ -29,5 +30,5 @@ def msv_project(m_v: Tensor, reg: ParamRegistry) -> Tensor:
 
 
 def roi_project(r_v: Tensor, reg: ParamRegistry) -> Tensor:
-    """(n_r, d_r) -> (n_r, d): affine lift of region rows."""
+    """(b, n_r, d_r) -> (b, n_r, d): affine lift of region rows."""
     return ag.affine(r_v, reg["visual.roi.w"], reg["visual.roi.b"])

@@ -63,11 +63,17 @@ def test_elementwise_values():
 
 
 def test_mean_rows_hand_values():
-    out = ag.mean_rows(_param([[1.0, 3.0], [3.0, 5.0]]))
-    assert np.allclose(out.data, [2.0, 4.0], atol=1e-12)
+    out = ag.mean_rows(_param([[[1.0, 3.0], [3.0, 5.0]]]))
+    assert np.allclose(out.data, [[2.0, 4.0]], atol=1e-12)
     r = np.array([0.25, -1.0, 2.0])
-    same = ag.mean_rows(_param(np.stack([r, r, r, r])))
-    assert np.allclose(same.data, r, atol=1e-12)
+    same = ag.mean_rows(_param(np.stack([r, r, r, r])[None]))
+    assert np.allclose(same.data, [r], atol=1e-12)
+
+
+def test_mean_rows_takes_only_a_batch():
+    for shape in ((4,), (4, 3)):
+        with pytest.raises(DimensionError):
+            ag.mean_rows(_param(np.ones(shape)))
 
 
 def _gru_operands(n, d):
@@ -125,10 +131,45 @@ def test_broadcast_to_neither_operands_shape_raises(op, a, b):
 
 
 def test_concat_rows_shapes():
-    out = ag.concat_rows(_param(np.zeros((4, 5))), _param(np.ones((3, 5))))
+    out = ag.concat(_param(np.zeros((4, 5))), _param(np.ones((3, 5))),
+                    axis=-2)
     assert out.data.shape == (7, 5)
     with pytest.raises(DimensionError):
-        ag.concat_rows(_param(np.zeros((2, 3))), _param(np.zeros((2, 4))))
+        ag.concat(_param(np.zeros((2, 3))), _param(np.zeros((2, 4))), axis=-2)
+
+
+@pytest.mark.parametrize("shapes,axis", [
+    ([(2, 4), (5, 4), (1, 4)], -2),
+    ([(2, 4), (2, 5), (2, 1)], -1),
+    ([(3, 2, 4), (3, 5, 4), (3, 1, 4)], -2),
+    ([(3, 2, 4), (3, 2, 5), (3, 2, 1)], -1),
+])
+def test_concat_matches_numpy_and_splits_the_gradient(shapes, axis):
+    rng = np.random.default_rng(9)
+    parts = [_param(rng.uniform(-1, 1, s)) for s in shapes]
+    out = ag.concat(*parts, axis=axis)
+    assert np.array_equal(out.data,
+                          np.concatenate([p.data for p in parts], axis=axis))
+    g = rng.uniform(-1, 1, out.data.shape)
+    ag.reduce_sum(ag.mul(out, ag.constant(g))).backward()
+    ends = np.cumsum([s[axis] for s in shapes])[:-1]
+    for p, want in zip(parts, np.split(g, ends, axis=axis)):
+        assert np.array_equal(p.grad, want)
+
+
+@pytest.mark.parametrize("shapes,axis", [
+    ([(2, 3), (1, 2, 3)], -2),           # mixed ranks
+    ([(2,), (3,)], -1),                  # rank 1
+    ([(2, 3), (2, 4)], -2),              # widths differ
+    ([(2, 3), (3, 3)], -1),              # heights differ
+    ([(2, 2, 3), (3, 2, 3)], -2),        # batch sizes differ
+    ([(2, 3), (2, 3)], 0),               # another axis
+    ([(2, 3), (2, 3)], 1),
+    ([], -1),                            # no parts
+])
+def test_concat_rejects_what_it_cannot_join(shapes, axis):
+    with pytest.raises(DimensionError):
+        ag.concat(*(_param(np.ones(s)) for s in shapes), axis=axis)
 
 
 # ------------------------------------------------------------- construction

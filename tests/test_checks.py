@@ -72,3 +72,21 @@ def test_every_primitive_has_a_gradient_audit(monkeypatch):
         monkeypatch.setattr(ag, name, recording(name, getattr(ag, name)))
     checks.primitive_gradcheck(seed=0)
     assert [name for name in ops if name not in audited] == []
+
+
+def test_every_primitive_has_an_engine_caller(monkeypatch):
+    # a primitive that only tests call is dead product code
+    ops = [name for name in ag.__all__ if name not in NOT_OPS]
+    called = set()
+
+    def recording(name, op):
+        def call(*args, **kwargs):
+            called.add(name)
+            return op(*args, **kwargs)
+        return call
+
+    for name in ops:
+        monkeypatch.setattr(ag, name, recording(name, getattr(ag, name)))
+    model, batch = micro_fixture(seed=0)
+    model.batch_losses(batch)[0].backward()
+    assert [name for name in ops if name not in called] == []

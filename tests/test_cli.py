@@ -217,6 +217,28 @@ def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
     assert payload["distances"]  # present unless --no-distances
 
 
+def test_subset_without_captions_is_a_usage_error(workspace, tmp_path,
+                                                  capsys):
+    # image 5 keeps its features but loses its captions, so a subset of
+    # that image alone has no texts to rank
+    data, run = workspace
+    trimmed = tmp_path / "data"
+    shutil.copytree(data, trimmed)
+    captions = trimmed / "captions.txt"
+    lines = captions.read_text(encoding="utf-8").splitlines(keepends=True)
+    captions.write_text("".join(l for l in lines if not l.startswith("5\t")),
+                        encoding="utf-8")
+    subset_file = tmp_path / "five.txt"
+    subset_file.write_text("5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(trimmed), "--split", "all",
+                 "--subset", str(subset_file)]) == 2
+    err = capsys.readouterr().err
+    assert "the subset's images have no captions among the evaluated texts" \
+        in err
+
+
 def test_eval_can_skip_distances(workspace, tmp_path, capsys):
     data, run = workspace
     report_path = tmp_path / "r.json"

@@ -244,6 +244,16 @@ def test_subset_eval_rejects_bad_subsets(tiny_model, tiny_dataset):
         subset_eval(tiny_dataset, full, [4, 5])
 
 
+def test_subset_eval_rejects_images_without_captions(tiny_model, tiny_dataset):
+    # image 4 is scored but none of its captions is: a subset of it alone
+    # has no texts to rank, and says so instead of reducing an empty grid
+    full = similarity_matrix(tiny_model, tiny_dataset, [0, 1, 4],
+                             tiny_dataset.captions_of([0, 1]))
+    with pytest.raises(ValueError, match="no captions among the evaluated"):
+        subset_eval(tiny_dataset, full, [4])
+    assert subset_eval(tiny_dataset, full, [4, 1])["n_texts"] > 0
+
+
 def test_degenerate_guided_caption_names_caption_and_image(
         tiny_model, tiny_dataset, monkeypatch):
     # zero the guidance output of the third caption: T_RG(image, caption)

@@ -7,24 +7,84 @@ import numpy as np
 import pytest
 
 from dove import autograd as ag
-from dove.model import CAPTION_CHUNK
+from dove.model import CHUNK
+
+
+FIELDS = ("v_m", "v_r", "v_mr")
+
+
+def _random_images(seed, n, ds):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1, 1, (n,) + ds.msv.shape[1:]),
+            rng.uniform(-1, 1, (n,) + ds.roi.shape[1:]))
+
+
+def _weighted_codes(codes, weights):
+    a, b, c = (ag.reduce_sum(ag.mul(getattr(codes, f), ag.constant(w)))
+               for f, w in zip(FIELDS, weights))
+    return ag.add(ag.add(a, b), c)
 
 
 def test_stacked_image_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
-    ds = tiny_dataset
-    images = [4, 0, 3]
-    stacked = tiny_model.encode_images(ds.msv[images], ds.roi[images])
-    views = tiny_model.encode_images([ds.msv[i] for i in images],
-                                     [ds.roi[i] for i in images])
-    for field in ("v_m", "v_r", "v_mr"):
+    # two chunks, with a graph.  Codes equal one-image graphs bit for bit.
+    # Parameter gradients agree to 1e-12, not bit for bit: a chunk's
+    # weight gradient is one product over all its images' rows, where
+    # one-image graphs add one product per image.
+    n = CHUNK + 8
+    msv, roi = _random_images(3, n, tiny_dataset)
+    weights = np.random.default_rng(4).uniform(-1, 1,
+                                               (3, n, tiny_model.cfg.d))
+    params = tiny_model.reg.tensors()
+
+    tiny_model.reg.zero_grad()
+    stacked = tiny_model.encode_images(msv, roi)
+    _weighted_codes(stacked, weights).backward()
+    batch_grads = {k: t.grad.copy() for k, t in params.items()
+                   if t.grad is not None}
+    assert {k.split(".")[0] for k in batch_grads} == {"visual", "ifa"}
+    with ag.no_grad():
+        views = tiny_model.encode_images(list(msv), list(roi))
+    for field in FIELDS:
         rows = getattr(stacked, field).data
-        assert rows.shape == (len(images), tiny_model.cfg.d)
+        assert rows.shape == (n, tiny_model.cfg.d)
         assert np.array_equal(getattr(views, field).data, rows)
-        for r, i in enumerate(images):
-            alone = tiny_model.encode_images(ds.msv[i:i + 1], ds.roi[i:i + 1])
-            assert np.array_equal(getattr(alone, field).data[0], rows[r])
+
+    tiny_model.reg.zero_grad()
+    for r in range(n):
+        alone = tiny_model.encode_images(msv[r:r + 1], roi[r:r + 1])
+        for field in FIELDS:
+            assert np.array_equal(getattr(alone, field).data[0],
+                                  getattr(stacked, field).data[r])
+        _weighted_codes(alone, weights[:, r:r + 1]).backward()
+    for k, t in params.items():
+        if k in batch_grads:
+            assert np.allclose(batch_grads[k], t.grad, rtol=1e-12,
+                               atol=1e-12), k
+        else:
+            assert t.grad is None, k
+    tiny_model.reg.zero_grad()
     with pytest.raises(ValueError):
-        tiny_model.encode_images(ds.msv[:2], ds.roi[:1])
+        tiny_model.encode_images(msv[:2], roi[:1])
+
+
+def _graph_nodes(*roots):
+    seen, stack = {id(r) for r in roots}, list(roots)
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_image_graph_size_does_not_grow_with_the_chunk(tiny_model,
+                                                      tiny_dataset):
+    # one chain of ops per chunk, whatever the number of images in it
+    sizes = []
+    for n in (4, 16):
+        codes = tiny_model.encode_images(*_random_images(n, n, tiny_dataset))
+        sizes.append(_graph_nodes(*(getattr(codes, f) for f in FIELDS)))
+    assert sizes[0] == sizes[1]
 
 
 def _ragged_captions(seed, n, vocab, longest):
@@ -38,7 +98,7 @@ def test_stacked_caption_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
     # gradients agree with one-caption graphs to 1e-12, not bit for bit:
     # a chunk's recurrent products are (b, d) x (d, d), a lone caption's
     # (1, d) x (d, d), and the two round differently in the last bits.
-    n = CAPTION_CHUNK + 8
+    n = CHUNK + 8
     token_lists = _ragged_captions(0, n, tiny_dataset.embedding.shape[0], 12)
     weights = np.random.default_rng(1).uniform(-1, 1, (n, tiny_model.cfg.d))
     params = tiny_model.reg.tensors()

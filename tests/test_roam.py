@@ -129,5 +129,5 @@ def test_half_gate_construction():
 
 
 def test_pool_fixture():
-    got = ag.mean_rows(ag.constant([[0.0, 2.0], [2.0, 0.0]]))
-    assert np.array_equal(got.data, [1.0, 1.0])
+    got = ag.mean_rows(ag.constant([[[0.0, 2.0], [2.0, 0.0]]]))
+    assert np.array_equal(got.data, [[1.0, 1.0]])
