@@ -11,7 +11,11 @@ shape is the broadcast shape: a row (n,) or a column (m, 1) against an
 (m, n) operand, say.  The result then has that operand's shape, and the
 other operand's gradient is summed down to its own shape.  Any other
 pair, one whose broadcast is larger than both operands or that does not
-broadcast at all, raises ``DimensionError``.
+broadcast at all, raises ``DimensionError``.  Their second operand may
+also be a real number (a Python or NumPy scalar, not an ndarray): it acts
+as a shape-() constant, builds no ``Tensor`` and gets no gradient.
+``take_diag`` returns the diagonal as an (n, 1) column, so it broadcasts
+along rows as it is and along columns once transposed.
 
 Rank-3 tensors are batches of rank-2 blocks: ``matmul`` multiplies block
 by block, ``transpose`` swaps the last two axes, ``affine`` and
@@ -30,13 +34,14 @@ canonical order before any op sees them.
 from __future__ import annotations
 
 import contextlib
+import numbers
 
 import numpy as np
 
 __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
     "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
-    "scale", "add_scalar", "affine",
+    "affine",
     "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat",
     "normalize_rows", "take_diag", "gru_scan",
     "grad_check",
@@ -283,13 +288,14 @@ def concat(*parts: Tensor, axis: int) -> Tensor:
 
 
 def take_diag(s: Tensor) -> Tensor:
+    """The diagonal of a square rank-2 tensor, as an (n, 1) column."""
     if s.data.ndim != 2 or s.data.shape[0] != s.data.shape[1]:
         raise DimensionError("take_diag expects a square rank-2 tensor")
-    out = _result(np.diag(s.data).copy(), (s,))
+    out = _result(np.diag(s.data)[:, None].copy(), (s,))
     if out.requires_grad:
         def bw(g):
             full = np.zeros_like(s.data)
-            np.fill_diagonal(full, g)
+            np.fill_diagonal(full, g[:, 0])
             _acc(s, full, fresh=True)
         out._bw = bw
     return out
@@ -297,17 +303,24 @@ def take_diag(s: Tensor) -> Tensor:
 
 # -------------------------------------------------------------- elementwise
 
-def _check_broadcast(a: Tensor, b: Tensor, name: str):
-    """Reject a pair unless one operand's shape is their broadcast shape."""
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return
-    try:
-        shape = np.broadcast_shapes(sa, sb)
-    except ValueError:
-        shape = None
-    if shape not in (sa, sb):
-        raise DimensionError(f"{name} cannot broadcast {sa} with {sb}")
+def _operand(a: Tensor, b, name: str):
+    """``b``'s values and the result's parents: a tensor ``b`` must
+    broadcast with ``a`` to one of their two shapes; a real number ``b``
+    is a shape-() constant, not a parent."""
+    if isinstance(b, Tensor):
+        sa, sb = a.data.shape, b.data.shape
+        if sa != sb:
+            try:
+                shape = np.broadcast_shapes(sa, sb)
+            except ValueError:
+                shape = None
+            if shape not in (sa, sb):
+                raise DimensionError(f"{name} cannot broadcast {sa} with {sb}")
+        return b.data, (a, b)
+    if isinstance(b, numbers.Real):
+        return b, (a,)
+    raise DimensionError(f"{name} takes a Tensor or a real number, "
+                         f"got {type(b).__name__}")
 
 
 def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -321,12 +334,12 @@ def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=ones, keepdims=True) if ones else g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = _result(a.data + b.data, (a, b))
+def add(a: Tensor, b: Tensor | float) -> Tensor:
+    b_data, parents = _operand(a, b, "add")
+    out = _result(a.data + b_data, parents)
     if out.requires_grad:
         def bw(g):
-            for t in (a, b):
+            for t in parents:
                 if t.requires_grad:
                     gt = _sum_to(g, t.data.shape)
                     _acc(t, gt, fresh=gt is not g)
@@ -334,33 +347,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = _result(a.data * b.data, (a, b))
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    b_data, parents = _operand(a, b, "mul")
+    out = _result(a.data * b_data, parents)
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, _sum_to(g * b.data, a.data.shape), fresh=True)
-            if b.requires_grad:
+                _acc(a, _sum_to(g * b_data, a.data.shape), fresh=True)
+            if len(parents) == 2 and b.requires_grad:
                 _acc(b, _sum_to(g * a.data, b.data.shape), fresh=True)
-        out._bw = bw
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = _result(a.data * c, (a,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(a, g * c, fresh=True)
-        out._bw = bw
-    return out
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    out = _result(a.data + c, (a,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(a, g)
         out._bw = bw
     return out
 
@@ -601,9 +596,13 @@ def grad_check(loss_fn, params, max_coords: int | None = None, seed: int = 0):
     ``params`` (a name -> Tensor mapping).  Relative error per coordinate
     is |a - f| / max(1, |a|, |f|).  When a parameter has more coordinates
     than ``max_coords``, a deterministic splitmix64 sample of coordinates
-    is checked instead of all of them.
+    is checked instead of all of them; ``max_coords`` below 1 would check
+    none, and raises ``ValueError``.
     """
     from .rng import RngStream, derive_seed
+
+    if max_coords is not None and max_coords < 1:
+        raise ValueError(f"max_coords must be at least 1, got {max_coords}")
 
     for t in params.values():
         t.grad = None

@@ -10,6 +10,7 @@ no other value for it.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -44,6 +45,10 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.d <= 0 or self.d % 2 != 0:
             raise ConfigError(f"d must be positive and even, got {self.d}")
         if self.heads < 1 or self.d % self.heads != 0:

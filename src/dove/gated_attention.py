@@ -60,8 +60,8 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
         v = ag.affine(x, reg[f"{p}.w_v"], reg[f"{p}.b_v"])
         gate = ag.sigmoid(ag.affine(ag.mul(q, key), reg[f"{p}.w_a"],
                                     reg[f"{p}.b_a"]))
-        scores = ag.scale(ag.matmul(ag.mul(gate, q),
-                                    ag.transpose(ag.mul(gate, key))), inv_sqrt)
+        scores = ag.mul(ag.matmul(ag.mul(gate, q),
+                                  ag.transpose(ag.mul(gate, key))), inv_sqrt)
         outs.append(ag.matmul(ag.softmax_rows(scores, lengths), v))
     return ag.concat(*outs, axis=-1)
 
@@ -110,7 +110,7 @@ def select_inputs(h_forward: Tensor, h_backward: Tensor,
     if mode == "fb":
         return h_forward, h_backward
     if mode == "avg":
-        avg = ag.scale(ag.add(h_forward, h_backward), 0.5)
+        avg = ag.mul(ag.add(h_forward, h_backward), 0.5)
         return avg, avg
     raise ValueError(f"unknown input mode {mode!r}")
 

@@ -6,7 +6,9 @@ both retrieval directions:
     L(S) = sum_i sum_{j != i} [alpha - S_ii + S_ij]_+ + [alpha - S_ii + S_ji]_+
 
 and the full objective combines the fused-branch and global-branch
-score matrices as L(S_final) + lambda_g * L(S_global).
+score matrices as L(S_final) + lambda_g * L(S_global).  The positives
+-S_ii are one (B, 1) column: added as it is, it subtracts each row's
+positive, and added as a (1, B) row, each column's.
 """
 from __future__ import annotations
 
@@ -36,16 +38,14 @@ def triplet_loss(s: Tensor, alpha: float) -> Tensor:
     b = s.data.shape[0]
     if b < 2:
         raise ag.DimensionError("triplet_loss needs at least 2 pairs")
-    diag = ag.take_diag(s)
     off = ag.constant(1.0 - np.eye(b))
-    neg_diag = ag.scale(diag, -1.0)
+    neg = ag.mul(ag.take_diag(s), -1.0)  # (B, 1): -S_ii
     # (S_ij - S_ii) + alpha: margins first, then the offset, so that
     # score grids written with short decimals hinge to exact short
     # decimals as well
-    by_image = ag.add_scalar(
-        ag.transpose(ag.add(ag.transpose(s), neg_diag)), alpha)
-    # (S_ij - S_jj) + alpha: same, down each column's positive
-    by_text = ag.add_scalar(ag.add(s, neg_diag), alpha)
+    by_image = ag.add(ag.add(s, neg), alpha)
+    # (S_ij - S_jj) + alpha: same, with the column laid along the row
+    by_text = ag.add(ag.add(s, ag.transpose(neg)), alpha)
     hinge = ag.add(ag.relu(ag.mul(by_image, off)), ag.relu(ag.mul(by_text, off)))
     return ag.reduce_sum(hinge)
 
@@ -55,5 +55,5 @@ def total_loss(s_final: Tensor, s_global: Tensor, alpha: float,
     """(total, final-branch, global-branch) loss tensors."""
     loss_final = triplet_loss(s_final, alpha)
     loss_global = triplet_loss(s_global, alpha)
-    total = ag.add(loss_final, ag.scale(loss_global, lambda_g))
+    total = ag.add(loss_final, ag.mul(loss_global, lambda_g))
     return total, loss_final, loss_global

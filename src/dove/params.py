@@ -1,10 +1,11 @@
 """Named registry for every learned matrix and bias: name -> Tensor.
 
-Initial values are a pure function of (init spec, seed, name): each entry
-draws from its own splitmix64 stream keyed by the parameter name, so the
-order in which modules register parameters can never shift another
-entry's initialization.  A registry restoring a checkpoint takes each
-value from the checkpoint at registration and draws nothing.
+Biases start at zero.  A matrix's initial values are a pure function of
+(seed, name): each draws a uniform Glorot sample from its own splitmix64
+stream keyed by the parameter name, so the order in which modules
+register parameters can never shift another entry's initialization.  A
+registry restoring a checkpoint takes each value from the checkpoint at
+registration and draws nothing.
 
 ``two_layer`` is the one two-layer map the model builds from registry
 entries: the nonlinear fusion and guidance heads, the multiscale
@@ -19,24 +20,11 @@ from .autograd import Tensor
 from .rng import RngStream, derive_seed
 
 
-def _glorot_bound(shape: tuple[int, ...]) -> float:
-    # uniform bound sqrt(6 / (fan_in + fan_out)); vectors count both fans as len
-    if len(shape) == 2:
-        fan_in, fan_out = shape
-    else:
-        fan_in = fan_out = shape[0]
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
-def init_values(name: str, shape: tuple[int, ...], init_spec: str, seed: int) -> np.ndarray:
-    """Initial array for a parameter; independent of registration order."""
-    if init_spec == "zeros":
-        return np.zeros(shape, dtype=np.float64)
-    if init_spec == "uniform_glorot":
-        a = _glorot_bound(shape)
-        stream = RngStream(derive_seed(seed, "init", name))
-        return stream.uniform(int(np.prod(shape)), -a, a).reshape(shape)
-    raise ValueError(f"unknown init spec {init_spec!r}")
+def init_values(name: str, shape: tuple[int, int], seed: int) -> np.ndarray:
+    """A matrix's initial array, uniform in +-sqrt(6 / (fan_in + fan_out))."""
+    a = float(np.sqrt(6.0 / sum(shape)))
+    stream = RngStream(derive_seed(seed, "init", name))
+    return stream.uniform(int(np.prod(shape)), -a, a).reshape(shape)
 
 
 class ParamSetError(ValueError):
@@ -56,21 +44,24 @@ class ParamRegistry:
         self._tensors: dict[str, Tensor] = {}
         self._given = None if values is None else dict(values)
 
-    def register(self, name: str, shape: tuple[int, ...], init_spec: str) -> Tensor:
+    def register(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        """A matrix (rank 2) or a bias (rank 1) named ``name``."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        if self._given is None:
-            data = init_values(name, shape, init_spec, self.seed)
-        else:
+        if self._given is not None:
             data = self._take(name, shape)
+        elif len(shape) == 2:
+            data = init_values(name, shape, self.seed)
+        else:
+            data = np.zeros(shape)
         t = self._tensors[name] = Tensor(data, requires_grad=True)
         return t
 
     def matrix(self, name: str, rows: int, cols: int) -> Tensor:
-        return self.register(name, (rows, cols), "uniform_glorot")
+        return self.register(name, (rows, cols))
 
     def bias(self, name: str, width: int) -> Tensor:
-        return self.register(name, (width,), "zeros")
+        return self.register(name, (width,))
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]

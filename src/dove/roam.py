@@ -97,5 +97,5 @@ def iga_guide_rows(f_r_row: Tensor, f_g_rows: Tensor, reg: ParamRegistry,
         raise ag.DimensionError(
             f"guidance takes one (1, d) region row, got {f_r_row.data.shape}")
     gates = ag.sigmoid(ag.matmul(f_g_rows, ag.transpose(f_r_row)))  # (n, 1)
-    u = ag.mul(f_g_rows, ag.add_scalar(gates, 1.0))
+    u = ag.mul(f_g_rows, ag.add(gates, 1.0))
     return _head(u, reg, "iga.head", head)

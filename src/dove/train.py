@@ -202,6 +202,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             except UnicodeDecodeError as exc:
                 raise CheckpointFormatError(
                     f"{path}: bad parameter name: {exc}") from exc
+            if name in values:
+                raise CheckpointFormatError(
+                    f"{path}: repeated parameter name {name!r}")
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             values[name] = np.frombuffer(take(8 * math.prod(shape)),

@@ -130,6 +130,51 @@ def test_broadcast_to_neither_operands_shape_raises(op, a, b):
             op(*(_param(np.ones(shape)) for shape in pair))
 
 
+NUMBERS = [pytest.param(-1.7, id="float"), pytest.param(np.float64(0.3), id="np")]
+NUMBER_SHAPES = [(4,), (3, 4), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("op,np_op", [(ag.add, np.add), (ag.mul, np.multiply)])
+@pytest.mark.parametrize("c", NUMBERS)
+@pytest.mark.parametrize("shape", NUMBER_SHAPES)
+def test_number_operand_matches_numpy(op, np_op, c, shape):
+    x = np.random.default_rng(9).uniform(-1, 1, shape)
+    out = op(_param(x), c)
+    assert out.data.shape == shape
+    assert np.array_equal(out.data, np_op(x, c))
+
+
+@pytest.mark.parametrize("c", NUMBERS)
+@pytest.mark.parametrize("shape", NUMBER_SHAPES)
+def test_number_operand_gets_no_gradient(c, shape):
+    # the tensor's gradient is g * c for mul and a copy of g for add, what
+    # the scalar ops they replace gave it; the number is not in the graph
+    g = np.random.default_rng(10).uniform(-1, 1, shape)
+    for op, expected in ((ag.mul, g * c), (ag.add, g)):
+        x = _param(np.ones(shape))
+        out = op(x, c)
+        assert out._parents == (x,)
+        ag.reduce_sum(ag.mul(out, ag.constant(g))).backward()
+        assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("op", [ag.add, ag.mul])
+@pytest.mark.parametrize("operand", [np.array(2.0), np.ones(4), "2", None],
+                         ids=["0-d", "1-d", "str", "none"])
+def test_operand_that_is_no_tensor_or_number_raises(op, operand):
+    with pytest.raises(DimensionError):
+        op(_param(np.ones(4)), operand)
+
+
+def test_take_diag_is_a_column_whose_gradient_fills_the_diagonal():
+    s = _param(np.arange(9.0).reshape(3, 3))
+    d = ag.take_diag(s)
+    assert d.data.shape == (3, 1)
+    assert np.array_equal(d.data, [[0.0], [4.0], [8.0]])
+    ag.reduce_sum(ag.mul(d, ag.constant([[1.0], [2.0], [3.0]]))).backward()
+    assert np.array_equal(s.grad, np.diag([1.0, 2.0, 3.0]))
+
+
 def test_concat_rows_shapes():
     out = ag.concat(_param(np.zeros((4, 5))), _param(np.ones((3, 5))),
                     axis=-2)
@@ -212,6 +257,14 @@ def test_grad_check_constant_function():
     assert err < 1e-10
 
 
+@pytest.mark.parametrize("max_coords", [0, -3])
+def test_grad_check_that_would_check_nothing_raises(max_coords):
+    w = _param([1.0, 2.0])
+    with pytest.raises(ValueError, match="max_coords must be at least 1"):
+        ag.grad_check(lambda: ag.reduce_sum(ag.mul(w, w)), {"w": w},
+                      max_coords=max_coords)
+
+
 def test_grad_check_rejects_nonfinite_loss():
     w = _param([1e308])
     with np.errstate(all="ignore"), pytest.raises(ValueError):
@@ -282,7 +335,7 @@ def test_second_backward_through_a_consumed_graph_raises():
     with pytest.raises(ag.GraphConsumedError):
         loss.backward()
     with pytest.raises(ag.GraphConsumedError):  # a new root over a freed node
-        ag.scale(y, 2.0).backward()
+        ag.mul(y, 2.0).backward()
     assert w.grad[0] == 4.0
 
 

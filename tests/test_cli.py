@@ -115,6 +115,33 @@ def test_config_asking_for_threads_is_a_usage_error(workspace, tmp_path,
     assert "'threads' is removed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--lr0", "--lambda-g"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_rate_is_a_usage_error(workspace, tmp_path, capsys,
+                                                flag, value):
+    data, _ = workspace
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(out)]
+                + TRAIN_FLAGS + [flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_non_finite_config_is_a_format_error(workspace, tmp_path,
+                                                        capsys):
+    data, run = workspace
+    blob = (run / "checkpoint.bin").read_bytes()
+    assert blob.count(b"\nlr0 = 0.01\n") == 1
+    bad = tmp_path / "nan.bin"
+    # same length, so the config block keeps its size prefix
+    bad.write_bytes(blob.replace(b"\nlr0 = 0.01\n", b"\nlr0 = nan \n"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "lr0 must be finite, got nan" in err
+
+
 def test_repeated_config_key_is_rejected(workspace, tmp_path, capsys):
     # exit 2 in a --config file, exit 3 in a checkpoint's config block
     data, run = workspace
@@ -173,6 +200,10 @@ def _zero_dimension(blob: bytes) -> bytes:
     return _with_shape(blob, [0, 8])
 
 
+def _repeated_name(blob: bytes) -> bytes:
+    return blob.replace(b"visual.msv.adapter.b", b"visual.msv.adapter.w")
+
+
 @pytest.mark.parametrize("command, corrupt, message", [
     pytest.param(command, corrupt, message, id=f"{command}{suffix}")
     for command in ("eval", "distances")
@@ -181,6 +212,8 @@ def _zero_dimension(blob: bytes) -> bytes:
         (_overflowing_shape, "truncated at byte", "-overflowing-shape"),
         (_zero_dimension, "bad parameter name", "-zero-dimension"),
         (_non_utf8_name, "bad parameter name", "-non-utf8-name"),
+        (_repeated_name, "repeated parameter name 'visual.msv.adapter.w'",
+         "-repeated-name"),
     ]])
 def test_checkpoint_parameter_set_mismatch_is_a_format_error(
         workspace, tmp_path, capsys, command, corrupt, message):
@@ -349,6 +382,15 @@ def test_gradcheck_command(capsys):
     assert len(lines) == 6
     assert all(line.endswith("ok") for line in lines)
     assert any(line.startswith("autograd-primitives") for line in lines)
+
+
+@pytest.mark.parametrize("max_coords", ["0", "-3"])
+def test_gradcheck_that_would_check_nothing_is_a_usage_error(capsys,
+                                                             max_coords):
+    assert main(["gradcheck", "--max-coords", max_coords]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert f"max_coords must be at least 1, got {max_coords}" in captured.err
 
 
 def test_inspect_command(workspace, capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -89,6 +90,8 @@ def test_load_config_file(tmp_path):
     ("dtga_inputs", "xx"),
     ("ifa_head", "cubic"), ("iga_head", ""),
     ("val_fraction", 1.0), ("val_fraction", -0.1),
+    ("lr0", math.nan), ("lr0", math.inf),
+    ("lambda_g", math.nan), ("lambda_g", math.inf),
 ])
 def test_validate_rejects(field, value):
     cfg = dataclasses.replace(TrainConfig(), **{field: value})

@@ -112,7 +112,7 @@ def test_final_scores_match_per_pair_cosines(tiny_model, tiny_dataset):
     assert sim.scores.shape == (3, 4)
     assert sim.image_ids == images and sim.caption_ids == caps
     # no_grad is a process-wide flag: scoring must leave gradients on
-    assert ag.scale(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+    assert ag.mul(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
     codes = encode_images(tiny_model, tiny_dataset, images)
     t_g = encode_captions(tiny_model, tiny_dataset, caps).data
     vals = {n: t.data for n, t in tiny_model.reg.tensors().items()}

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dove import params
 from dove.params import ParamRegistry, init_values
 
 
@@ -32,7 +33,7 @@ def test_init_depends_on_name_and_seed():
 
 
 def test_glorot_bound_matrix():
-    arr = init_values("x.w", (30, 50), "uniform_glorot", seed=3)
+    arr = init_values("x.w", (30, 50), seed=3)
     bound = np.sqrt(6.0 / (30 + 50))
     assert np.all(np.abs(arr) <= bound)
     # draws genuinely spread over the interval rather than collapsing
@@ -40,16 +41,14 @@ def test_glorot_bound_matrix():
     assert arr.min() < -bound / 2 < bound / 2 < arr.max()
 
 
-def test_glorot_bound_vector():
-    arr = init_values("x.v", (40,), "uniform_glorot", seed=3)
-    bound = np.sqrt(6.0 / 80)
-    assert np.all(np.abs(arr) <= bound)
-
-
-def test_zero_init_and_unknown_spec():
-    assert np.array_equal(init_values("b", (7,), "zeros", seed=5), np.zeros(7))
-    with pytest.raises(ValueError):
-        init_values("b", (7,), "gaussian", seed=5)
+def test_biases_draw_nothing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(params, "init_values",
+                        lambda *args: drawn.append(args[0]) or np.ones(args[1]))
+    reg = ParamRegistry(seed=5)
+    assert np.array_equal(reg.bias("b", 7).data, np.zeros(7))
+    reg.matrix("w", 2, 7)
+    assert drawn == ["w"]
 
 
 def test_biases_start_at_zero_and_require_grad():

@@ -182,6 +182,20 @@ def test_trailing_bytes_are_reported(run, tmp_path):
         load_checkpoint(str(bad))
 
 
+def test_repeated_parameter_name_is_reported(run, tmp_path):
+    result, _ = run
+    blob = open(result.checkpoint_path, "rb").read()
+    assert blob.count(b"visual.msv.adapter.") == 2
+    bad = tmp_path / "repeated.bin"
+    # same length, so every size prefix still holds
+    bad.write_bytes(blob.replace(b"visual.msv.adapter.b",
+                                 b"visual.msv.adapter.w"))
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(str(bad))
+    assert str(err.value) == (f"{bad}: repeated parameter name "
+                              f"'visual.msv.adapter.w'")
+
+
 def test_checkpoint_values_are_copies(run, tiny_dataset):
     result, _ = run
     ckpt = load_checkpoint(result.checkpoint_path)
