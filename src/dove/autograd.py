@@ -23,9 +23,15 @@ by block, ``transpose`` swaps the last two axes, ``affine`` and
 the last two, and ``mean_rows`` pools each block's rows.  All but
 ``mean_rows`` take a single rank-2 block too, and run the same code on
 it.  Where blocks are sequences padded to one length, ``lengths`` says
-how many leading rows of each block are real; ``softmax_rows``,
-``mean_rows`` and ``gru_scan`` then keep the padding out of every real
-result.
+how many leading rows of each block are real; ``softmax_rows`` and
+``mean_rows`` then keep the padding out of every real result.
+
+Sequences of different lengths travel as packed rows instead: one
+(N, n) array of their real rows only, time-major and longest sequence
+first, laid out by a ``Packing``.  Row-wise ops run on packed rows as on
+any matrix, ``gru_scan`` steps them directly, and ``unpack`` / ``pack``
+convert to and from the zero-padded (b, T, n) batch for the ops that
+need whole sequences side by side.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -43,7 +49,7 @@ __all__ = [
     "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
     "affine",
     "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat",
-    "normalize_rows", "take_diag", "gru_scan",
+    "normalize_rows", "take_diag", "pack", "unpack", "gru_scan",
     "grad_check",
 ]
 
@@ -301,6 +307,72 @@ def take_diag(s: Tensor) -> Tensor:
     return out
 
 
+class Packing:
+    """Where b sequences of ``lengths`` tokens lie in N packed rows.
+
+    ``lengths`` must not increase: the longest sequence comes first.
+    Packed rows are time-major: token 0 of every sequence, then token 1
+    of every sequence longer than one token, and so on.  The sequences
+    live at position t are therefore the leading ``sizes[t]`` ones, and
+    their rows start at ``offsets[t]``.  ``index[j]`` is packed row j's
+    place i * T + t in the (b, T) grid of a padded batch, T being
+    ``lengths[0]``.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if (lengths.ndim != 1 or lengths.size == 0 or lengths[-1] < 1
+                or np.any(lengths[1:] > lengths[:-1])):
+            raise DimensionError(f"packed lengths must be non-increasing "
+                                 f"counts of at least 1, got {lengths.tolist()}")
+        self.lengths = lengths
+        live = np.arange(lengths[0])[:, None] < lengths  # (T, b)
+        self.sizes = live.sum(axis=1)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        t, i = np.nonzero(live)
+        self.index = i * lengths[0] + t
+
+    def padded(self, rows: np.ndarray) -> np.ndarray:
+        """(N, n) packed rows as a (b, T, n) batch, zero past each end."""
+        b, t = self.lengths.size, self.lengths[0]
+        out = np.zeros((b * t, rows.shape[1]))
+        out[self.index] = rows
+        return out.reshape(b, t, rows.shape[1])
+
+    def packed(self, batch: np.ndarray) -> np.ndarray:
+        """The (N, n) real rows of a (b, T, n) batch."""
+        return batch.reshape(-1, batch.shape[2])[self.index]
+
+
+def pack(x: Tensor, packing: Packing) -> Tensor:
+    """A (b, T, n) batch's real rows as (N, n) packed rows; the inverse
+    of ``unpack``, so each is the other's backward."""
+    grid = (packing.lengths.size, packing.lengths[0])
+    if x.data.ndim != 3 or x.data.shape[:2] != grid:
+        raise DimensionError(f"pack expects a {grid + ('n',)} batch, "
+                             f"got {x.data.shape}")
+    out = _result(packing.packed(x.data), (x,))
+    if out.requires_grad:
+        def bw(g):
+            _acc(x, packing.padded(g), fresh=True)
+        out._bw = bw
+    return out
+
+
+def unpack(x: Tensor, packing: Packing) -> Tensor:
+    """(N, n) packed rows as a (b, T, n) batch, zero past each sequence's
+    end."""
+    if x.data.ndim != 2 or x.data.shape[0] != packing.index.size:
+        raise DimensionError(f"unpack expects ({packing.index.size}, n) "
+                             f"rows, got {x.data.shape}")
+    out = _result(packing.padded(x.data), (x,))
+    if out.requires_grad:
+        def bw(g):
+            _acc(x, packing.packed(g), fresh=True)
+        out._bw = bw
+    return out
+
+
 # -------------------------------------------------------------- elementwise
 
 def _operand(a: Tensor, b, name: str):
@@ -394,7 +466,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _sigmoid_values(d: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
     e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = 1.0 + e
+    return np.where(d >= 0, 1.0 / p, e / p)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -465,88 +538,90 @@ def normalize_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------- recurrence
 
 def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
-             u_h: Tensor, reverse: bool, lengths=None) -> Tensor:
-    """One GRU direction over input projections, as one graph node.
+             u_h: Tensor, reverse: bool, packing: Packing | None = None
+             ) -> Tensor:
+    """One GRU direction over packed input projections, as one graph node.
 
-    The projections are (T, d) for one sequence or (b, T, d) for a padded
-    batch; row t of a sequence's ``x_z``, ``x_r`` and ``x_h`` is token t's
-    input-side pre-activation of each gate, and ``u_*`` are the (d, d)
-    recurrent maps.  ``lengths`` gives each sequence of a batch its number
-    of real tokens (default: all T).  From h = 0, each step in scan order
-    (end to start when ``reverse``) computes, for every sequence at once,
+    The projections are (N, d) packed rows (see ``Packing``; default: one
+    sequence of N tokens): a row of ``x_z``, ``x_r`` and ``x_h`` is one
+    token's input-side pre-activation of each gate, and ``u_*`` are the
+    (d, d) recurrent maps.  From h = 0, each step in scan order (end to
+    start when ``reverse``) updates the k = ``sizes[t]`` sequences live at
+    position t, the leading rows of h, at once:
 
-        z = sigmoid(x_z[t] + h U_z)     r = sigmoid(x_r[t] + h U_r)
-        c = tanh(x_h[t] + (r * h) U_h)  h <- h + m_t * z * (c - h)
+        z = sigmoid(x_z[t] + h[:k] U_z)     r = sigmoid(x_r[t] + h[:k] U_r)
+        c = tanh(x_h[t] + (r * h[:k]) U_h)  h[:k] <- h[:k] + z * (c - h[:k])
 
-    on (b, d) rows, where m_t is 1 at a real token and 0 at padding.  A
-    padded step leaves h exactly as it was, so the reverse direction
-    starts at each sequence's own end.  Row t of the output is the h that
-    step t produced.  The backward pass is hand-written BPTT: one walk in
-    reverse scan order collects the pre-activation gradients, which are
-    the gradients of ``x_*``, and then each U gradient is a single product.
+    where x_*[t] are position t's k packed rows.  In reverse a sequence
+    becomes live at its own last token, with the h = 0 its row still
+    holds.  Output row j is the h of the step that consumed packed row j.
+    The backward pass is hand-written BPTT: one walk in reverse scan order
+    over the same rows collects the pre-activation gradients, which are
+    the gradients of ``x_*``, and then each U gradient is a single product
+    over the N rows.
     """
     xs, us = (x_z, x_r, x_h), (u_z, u_r, u_h)
     shape = x_z.data.shape
-    if (len(shape) not in (2, 3) or shape[-2] == 0
+    if (len(shape) != 2 or shape[0] == 0
             or any(x.data.shape != shape for x in xs)
-            or any(u.data.shape != (shape[-1], shape[-1]) for u in us)):
+            or any(u.data.shape != (shape[1], shape[1]) for u in us)):
         raise DimensionError(
-            f"gru_scan expects three (T,d) or (b,T,d) projections and three "
-            f"(d,d) maps; got {[t.data.shape for t in xs + us]}")
-    n, d = shape[-2:]
-    seq = [x.data.reshape(-1, n, d) for x in xs]
-    b = seq[0].shape[0]
-    step_on = (np.ones((b, n)) if lengths is None
-               else _length_mask(lengths, b, n).astype(np.float64))[:, :, None]
+            f"gru_scan expects three (N,d) projections and three (d,d) "
+            f"maps; got {[t.data.shape for t in xs + us]}")
+    n, d = shape
+    if packing is None:
+        packing = Packing([n])
+    elif packing.index.size != n:
+        raise DimensionError(
+            f"gru_scan got {n} rows for a packing of {packing.index.size}")
+    spans = [(lo, lo + k) for lo, k in zip(packing.offsets.tolist(),
+                                          packing.sizes.tolist())]
+    steps = spans[::-1] if reverse else spans
     out = _result(np.empty(shape), xs + us)
-    hs = out.data.reshape(b, n, d)
+    hs = out.data
     keep = out.requires_grad
-    if keep:  # per-step h_{t-1}, z, r and c, by token position
-        h_prev, zs, rs, cs = (np.empty((b, n, d)) for _ in range(4))
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    h = np.zeros((b, d))
-    for t in steps:
-        z = _sigmoid_values(seq[0][:, t] + h @ u_z.data)
-        r = _sigmoid_values(seq[1][:, t] + h @ u_r.data)
-        c = np.tanh(seq[2][:, t] + (r * h) @ u_h.data)
+    if keep:  # per-row h_{t-1}, z, r and c
+        h_prev, zs, rs, cs = (np.empty(shape) for _ in range(4))
+    h = np.zeros((packing.sizes[0], d))
+    for lo, hi in steps:
+        live = h[:hi - lo]
+        z = _sigmoid_values(x_z.data[lo:hi] + live @ u_z.data)
+        r = _sigmoid_values(x_r.data[lo:hi] + live @ u_r.data)
+        c = np.tanh(x_h.data[lo:hi] + (r * live) @ u_h.data)
         if keep:
-            h_prev[:, t], zs[:, t], rs[:, t], cs[:, t] = h, z, r, c
-        h = h + (z * step_on[:, t]) * (c - h)
-        hs[:, t] = h
+            h_prev[lo:hi], zs[lo:hi], rs[lo:hi], cs[lo:hi] = live, z, r, c
+        hs[lo:hi] = live + z * (c - live)
+        live[...] = hs[lo:hi]
     if keep:
         def bw(g):
-            # with zm = m z, dh_t (the gradient reaching step t's output)
-            # enters
-            #   dA_z = dh_t (c - h_prev) zm (1 - z)    dA_h = dh_t zm (1 - c^2)
+            # dh (the gradient reaching a step's output) enters
+            #   dA_z = dh (c - h_prev) z (1 - z)    dA_h = dh z (1 - c^2)
             #   dA_r = (dA_h U_h^T) h_prev r (1 - r)
-            # and passes to the step before as
-            #   dh_t (1 - zm) + dA_z U_z^T + dA_r U_r^T + (dA_h U_h^T) r
-            # so a padded step (zm = 0) passes dh_t on unchanged
-            g = g.reshape(b, n, d)
-            zm = zs * step_on
-            k_z = (cs - h_prev) * zm * (1.0 - zs)
-            k_h = zm * (1.0 - cs * cs)
+            # and passes to the sequence's step before as
+            #   dh (1 - z) + dA_z U_z^T + dA_r U_r^T + (dA_h U_h^T) r
+            k_z = (cs - h_prev) * zs * (1.0 - zs)
+            k_h = zs * (1.0 - cs * cs)
             k_r = h_prev * rs * (1.0 - rs)
-            carry = 1.0 - zm
+            carry = 1.0 - zs
             uz_t, ur_t, uh_t = u_z.data.T, u_r.data.T, u_h.data.T
-            da_z, da_r, da_h = (np.empty((b, n, d)) for _ in range(3))
-            dh = np.zeros((b, d))
-            for t in reversed(steps):
-                dh = dh + g[:, t]
-                da_z[:, t] = dh * k_z[:, t]
-                da_h[:, t] = dh * k_h[:, t]
-                dq = da_h[:, t] @ uh_t
-                da_r[:, t] = dq * k_r[:, t]
-                dh = (dh * carry[:, t] + da_z[:, t] @ uz_t + da_r[:, t] @ ur_t
-                      + dq * rs[:, t])
+            da_z, da_r, da_h = (np.empty(shape) for _ in range(3))
+            dh = np.zeros_like(h)
+            for lo, hi in reversed(steps):
+                live = dh[:hi - lo]
+                dk = live + g[lo:hi]
+                da_z[lo:hi] = dk * k_z[lo:hi]
+                da_h[lo:hi] = dk * k_h[lo:hi]
+                dq = da_h[lo:hi] @ uh_t
+                da_r[lo:hi] = dq * k_r[lo:hi]
+                live[...] = (dk * carry[lo:hi] + da_z[lo:hi] @ uz_t
+                             + da_r[lo:hi] @ ur_t + dq * rs[lo:hi])
             for x, da in zip(xs, (da_z, da_r, da_h)):
                 if x.requires_grad:
-                    _acc(x, da.reshape(shape), fresh=True)
+                    _acc(x, da, fresh=True)
             for u, inp, da in ((u_z, h_prev, da_z), (u_r, h_prev, da_r),
                                (u_h, rs * h_prev, da_h)):
                 if u.requires_grad:
-                    _acc(u, inp.reshape(-1, d).T @ da.reshape(-1, d),
-                         fresh=True)
+                    _acc(u, inp.T @ da, fresh=True)
         out._bw = bw
     return out
 

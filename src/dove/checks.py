@@ -95,13 +95,19 @@ def primitive_gradcheck(seed: int = 0) -> float:
     check({"s": s3}, lambda: ag.softmax_rows(s3, lengths))
     check({"a": a3}, lambda: ag.mean_rows(a3))
     check({"a": a3}, lambda: ag.mean_rows(a3, lengths))
-    gates = {f"x_{g}": Tensor(_rand(stream, 3, 4, 3), requires_grad=True)
+
+    # packed rows: sequences of 4, 2 and 1 tokens, 7 rows in all
+    packing = ag.Packing([4, 2, 1])
+    rows = Tensor(_rand(stream, 7, 2), requires_grad=True)
+    check({"a": rows}, lambda: ag.unpack(rows, packing))
+    check({"a": a3}, lambda: ag.pack(a3, packing))
+    gates = {f"x_{g}": Tensor(_rand(stream, 7, 3), requires_grad=True)
              for g in "zrh"}
     gates.update({f"u_{g}": Tensor(_rand(stream, 3, 3), requires_grad=True)
                   for g in "zrh"})
     for reverse in (False, True):
         check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse,
-                                         lengths=lengths))
+                                         packing=packing))
     return worst
 
 

@@ -18,7 +18,7 @@ from .checks import GRADCHECK_TOLERANCE, gradcheck_report
 from .config import (CHOICES, FIELD_TYPES, ConfigError, TrainConfig,
                      config_hash, load_config_file)
 from .dataio import (BankFormatError, BankPayloadError, CaptionFormatError,
-                     load_dataset, read_bank_header)
+                     atomic_write, load_dataset, read_bank_header)
 from .evaluation import (DegenerateEmbeddingError, build_report,
                          embedding_distances, load_subset_file, render_table)
 from .optimizer import NumericAbort
@@ -74,7 +74,7 @@ def cmd_synth(args) -> int:
                        captions_per_image=args.captions_per_image)
     manifest = write_dataset(ds, args.out)
     lines = [f"{name}  {digest}" for name, digest in manifest.items()]
-    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, "manifest.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(manifest)} files to {args.out}")
     for line in lines:
@@ -115,7 +115,7 @@ def cmd_eval(args) -> int:
                           with_distances=not args.no_distances)
     sys.stdout.write(render_table(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(report.to_json())
         print(f"report {args.out}")
     return EXIT_OK
@@ -130,7 +130,7 @@ def cmd_distances(args) -> int:
               f"stddev={s['stddev']:.6f} n={s['n_pairs']}")
     if args.out:
         import json
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(stats, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"report {args.out}")

@@ -10,9 +10,13 @@ Values are upcast to float64 on load.  Caption files are UTF-8 lines
 ``<image_index>\\t<token token ...>``; vocabulary files are
 ``<token>\\t<id>`` with id 0 reserved for unknown tokens.  The embedding
 table reuses the bank container with rows=1 and cols=300.
+
+Every file the engine writes goes through ``atomic_write``.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +46,26 @@ class CaptionFormatError(ValueError):
     """A caption or vocabulary line failed to parse or validate."""
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """A file to write whose contents replace ``path`` when the block ends.
+
+    The block writes a temporary file beside ``path``, which then takes
+    ``path``'s place in one ``os.replace``, so a reader finds the old file
+    or the whole new one.  If the block raises, the temporary file is
+    removed and ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_feature_bank(path: str, values: np.ndarray):
     """Write an (n_samples, rows, cols) array as a float32 bank."""
     arr = np.asarray(values, dtype=np.float64)
@@ -50,7 +74,7 @@ def write_feature_bank(path: str, values: np.ndarray):
     if not np.all(np.isfinite(arr)):
         raise BankPayloadError("bank values contain non-finite entries")
     n, rows, cols = arr.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, n, rows, cols))
         fh.write(arr.astype("<f4").tobytes(order="C"))
 
@@ -97,7 +121,7 @@ def load_feature_bank(path: str) -> np.ndarray:
 
 def write_vocab(path: str, tokens: list[str]):
     """Write token->id lines; tokens[i] gets id i (index 0 is the unknown)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for i, tok in enumerate(tokens):
             fh.write(f"{tok}\t{i}\n")
 
@@ -187,7 +211,7 @@ def load_captions(path: str, vocab: dict[str, int],
 
 
 def write_captions(path: str, records: list[tuple[int, list[str]]]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for image_index, tokens in records:
             fh.write(f"{image_index}\t{' '.join(tokens)}\n")
 

@@ -1,17 +1,18 @@
 """Gated multi-head self-attention and the dual-branch text enhancer.
 
-Per head (width d_h = d / heads) over an (n, d) input X, or over each
-block of a padded (b, T, d) batch:
+Per head (width d_h = d / heads) over the (n, d) rows X of a sequence:
 
     Q = X W_q + b_q,  K = X W_k + b_k,  V = X W_v + b_v
     G = sigmoid((Q * K) W_a + b_a)          -- multiplicative gate
     out = softmax_rows((G*Q) (G*K)^T / sqrt(d_h)) V
 
 Head outputs are concatenated along the feature axis; there is no extra
-output projection.  Each head owns its gate parameters.  In a padded
-batch, ``lengths`` gives each block's number of real rows: padded keys
-are masked out before the softmax, so a real row never attends to
-padding, and every other map acts row by row.
+output projection.  Each head owns its gate parameters.  A batch of
+sequences is (N, d) packed rows laid out by an ``autograd.Packing``:
+every map acts on the real rows only, and just the score, softmax and
+value products see the sequences as a zero-padded (b, T, d_h) batch,
+with padded keys masked out before the softmax, so a real row never
+attends to padding.
 
 The dual-branch enhancer runs two mirrored branches over an input pair
 (A, B).  A branch self-attends A with a residual, turns B's
@@ -44,12 +45,15 @@ def register_ga_params(reg: ParamRegistry, prefix: str, d: int, heads: int):
 
 
 def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
-                         heads: int, lengths=None) -> Tensor:
-    """(n, d) -> (n, d), or (b, T, d) -> (b, T, d); see the module
-    docstring for the head math."""
+                         heads: int, packing: ag.Packing | None = None
+                         ) -> Tensor:
+    """(N, d) packed rows -> (N, d), one sequence when ``packing`` is
+    None; see the module docstring for the head math."""
     d = x.data.shape[-1]
     if d % heads != 0:
         raise ag.DimensionError(f"width {d} not divisible by {heads} heads")
+    if packing is None:
+        packing = ag.Packing([x.data.shape[0]])
     d_h = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_h)
     outs = []
@@ -60,10 +64,12 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
         v = ag.affine(x, reg[f"{p}.w_v"], reg[f"{p}.b_v"])
         gate = ag.sigmoid(ag.affine(ag.mul(q, key), reg[f"{p}.w_a"],
                                     reg[f"{p}.b_a"]))
-        scores = ag.mul(ag.matmul(ag.mul(gate, q),
-                                  ag.transpose(ag.mul(gate, key))), inv_sqrt)
-        outs.append(ag.matmul(ag.softmax_rows(scores, lengths), v))
-    return ag.concat(*outs, axis=-1)
+        scores = ag.mul(ag.matmul(
+            ag.unpack(ag.mul(gate, q), packing),
+            ag.transpose(ag.unpack(ag.mul(gate, key), packing))), inv_sqrt)
+        outs.append(ag.matmul(ag.softmax_rows(scores, packing.lengths),
+                              ag.unpack(v, packing)))
+    return ag.pack(ag.concat(*outs, axis=-1), packing)
 
 
 def _register_map(reg: ParamRegistry, prefix: str, d: int):
@@ -83,20 +89,20 @@ def register_dtga_params(reg: ParamRegistry, d: int, heads: int):
 
 
 def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
-            heads: int, lengths) -> Tensor:
+            heads: int, packing: ag.Packing | None) -> Tensor:
     """``x`` self-attended with a residual, times ``y``'s probe mask."""
     enhanced = ag.add(gated_self_attention(x, reg, f"{prefix}.self_attn",
-                                           heads, lengths), x)
+                                           heads, packing), x)
     probe = gated_self_attention(y, reg, f"{prefix}.probe_attn", heads,
-                                 lengths)
+                                 packing)
     return ag.mul(enhanced, ag.sigmoid(two_layer(probe, reg, f"{prefix}.prob")))
 
 
 def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
-         lengths=None) -> Tensor:
+         packing: ag.Packing | None = None) -> Tensor:
     """Dual-branch enhancement of the input pair (a, b): the output rows."""
-    combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads, lengths),
-                      _branch(b, a, reg, "dtga.bwd", heads, lengths))
+    combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads, packing),
+                      _branch(b, a, reg, "dtga.bwd", heads, packing))
     return ag.add(two_layer(combined, reg, "dtga.decode"), combined)
 
 
@@ -117,9 +123,9 @@ def select_inputs(h_forward: Tensor, h_backward: Tensor,
 
 def word_features(h_forward: Tensor, h_backward: Tensor, reg: ParamRegistry,
                   heads: int, mode: str = "fb", disabled: bool = False,
-                  lengths=None) -> Tensor:
+                  packing: ag.Packing | None = None) -> Tensor:
     """Word-level text features; the disabled path averages the streams."""
     if disabled:
         return select_inputs(h_forward, h_backward, "avg")[0]
     a, b = select_inputs(h_forward, h_backward, mode)
-    return dtga(a, b, reg, heads, lengths)
+    return dtga(a, b, reg, heads, packing)

@@ -109,24 +109,28 @@ class Model:
         """(n, d) T_G rows, one per caption, in the order given.
 
         Captions are sorted by length (stable by position) and encoded in
-        chunks of ``CHUNK``.  Each chunk is one padded batch, as
-        long as its longest caption, that runs through the BiGRU and DTGA
-        as a whole; ``T_G`` is the mean over a caption's real tokens.
-        Padding never reaches a code, so a caption's code does not depend
-        on its chunk-mates beyond the last bits of the batched products.
+        chunks of ``CHUNK``, each one longest caption first.  A chunk runs
+        through the BiGRU and DTGA as one (N, d) array of packed rows (see
+        ``autograd.Packing``), its N real tokens and no padding; ``T_G``
+        is the mean over a caption's tokens.  A caption's code does not
+        depend on its chunk-mates beyond the last bits of the batched
+        products.
         """
-        order = sorted(range(len(token_lists)),
-                       key=lambda i: len(token_lists[i]))
+        by_length = sorted(range(len(token_lists)),
+                           key=lambda i: len(token_lists[i]))
+        order = [i for start in range(0, len(by_length), CHUNK)
+                 for i in reversed(by_length[start:start + CHUNK])]
         chunks = []
         for start in range(0, len(order), CHUNK):
-            e, lengths = te.embed_captions(
+            e, packing = te.embed_captions(
                 [token_lists[i] for i in order[start:start + CHUNK]],
                 self.embedding)
-            hidden = te.bigru(e, self.reg, lengths)
+            hidden = te.bigru(e, self.reg, packing)
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
                                    self.cfg.heads, mode=self.cfg.dtga_inputs,
-                                   disabled=self.cfg.no_dtga, lengths=lengths)
-            chunks.append(ag.mean_rows(f_g, lengths))
+                                   disabled=self.cfg.no_dtga, packing=packing)
+            chunks.append(ag.mean_rows(ag.unpack(f_g, packing),
+                                       packing.lengths))
         # the inverse permutation puts caption j's code in row j
         return ag.take_rows(ag.concat(*chunks, axis=-2), np.argsort(order))
 

@@ -32,7 +32,12 @@ def init_adam(reg: ParamRegistry) -> AdamState:
 
 
 def adam_step(reg: ParamRegistry, state: AdamState, lr: float):
-    """One update over every registered parameter; missing grads are zero."""
+    """One update over every registered parameter; missing grads are zero.
+
+    Each parameter's update runs the textbook operations in their usual
+    order, written into one work array and the step array, and
+    changes ``t.data`` in place.
+    """
     state.t += 1
     t = state.t
     correct1 = 1.0 - BETA1 ** t
@@ -45,13 +50,20 @@ def adam_step(reg: ParamRegistry, state: AdamState, lr: float):
             raise NumericAbort(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
+        tmp = np.multiply(g, 1.0 - BETA1)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += tmp                                # m = b1 m + (1 - b1) g
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        v += tmp                                # v = b2 v + (1 - b2) g^2
+        np.divide(v, correct2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += EPS                              # sqrt(v_hat) + eps
+        step = np.divide(m, correct1)
+        step *= lr
+        step /= tmp                             # lr m_hat / (...)
+        t.data -= step
 
 
 def lr_at(lr0: float, decay_factor: float, decay_every: int, epoch: int) -> float:

@@ -1,10 +1,10 @@
 """Token embedding lookup and bidirectional GRU encoding.
 
 The embedding table is ingested data (not a learned parameter).  A
-batch of captions is one padded (b, T, 300) array with each caption's
-length beside it, and padding never reaches a caption's states: a padded
-step leaves the recurrent state exactly as it was.  Both GRU directions
-share the structure
+batch of captions is one (N, 300) array of packed rows, time-major and
+longest caption first, laid out by an ``autograd.Packing`` built from
+their lengths: it holds real tokens only, so every map computes real
+rows only.  Both GRU directions share the structure
 
     z_t = sigmoid(e_t W_z + h_{t-1} U_z + b_z)
     r_t = sigmoid(e_t W_r + h_{t-1} U_r + b_r)
@@ -15,9 +15,9 @@ with h_0 = 0.  The backward direction scans each caption end-to-start,
 from its own last token, and stores its state at the position it just
 consumed.  Each direction projects the whole batch through its W maps in
 one product, then runs the recurrence as one fused graph node
-(``autograd.gru_scan``) whose backward pass is hand-written
-backpropagation through time, so the graph grows with neither caption
-length nor batch size.
+(``autograd.gru_scan``) that steps only the captions still live at each
+position and whose backward pass is hand-written backpropagation through
+time, so the graph grows with neither caption length nor batch size.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ class TokenError(ValueError):
 
 @dataclass
 class HiddenStates:
-    forward: Tensor   # (n_tokens, d), or (b, T, d) for a padded batch
+    forward: Tensor   # (N, d) packed rows
     backward: Tensor  # likewise
 
 
@@ -63,42 +63,39 @@ def embed_tokens(token_ids: list[int], table: np.ndarray) -> Tensor:
 
 
 def embed_captions(token_lists: list[list[int]],
-                   table: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Captions as one constant (b, T, 300) batch and their lengths.
-
-    T is the longest caption's length; the rows past a caption's end are
-    zero.
-    """
+                   table: np.ndarray) -> tuple[Tensor, ag.Packing]:
+    """Captions, longest first, as one constant (N, 300) of packed rows
+    and their packing."""
     rows = [embed_tokens(ids, table).data for ids in token_lists]
-    lengths = np.array([len(r) for r in rows])
-    e = np.zeros((len(rows), lengths.max(), EMBED_DIM))
+    packing = ag.Packing([len(r) for r in rows])
+    e = np.zeros((len(rows), packing.lengths[0], EMBED_DIM))
     for i, r in enumerate(rows):
         e[i, :len(r)] = r
-    return ag.constant(e), lengths
+    return ag.constant(packing.packed(e)), packing
 
 
 def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool,
-          lengths) -> Tensor:
+          packing: ag.Packing | None) -> Tensor:
     # project every token through the input-side maps in one shot
     x_z = ag.affine(e, reg[f"{prefix}.w_z"], reg[f"{prefix}.b_z"])
     x_r = ag.affine(e, reg[f"{prefix}.w_r"], reg[f"{prefix}.b_r"])
     x_h = ag.affine(e, reg[f"{prefix}.w_h"], reg[f"{prefix}.b_h"])
     return ag.gru_scan(x_z, x_r, x_h, reg[f"{prefix}.u_z"],
                        reg[f"{prefix}.u_r"], reg[f"{prefix}.u_h"], reverse,
-                       lengths)
+                       packing)
 
 
-def bigru(e: Tensor, reg: ParamRegistry, lengths=None) -> HiddenStates:
-    """Hidden states of both directions, one row per token.
+def bigru(e: Tensor, reg: ParamRegistry,
+          packing: ag.Packing | None = None) -> HiddenStates:
+    """Hidden states of both directions, one packed row per token.
 
-    ``e`` is one caption (n_tokens, 300), or a padded batch (b, T, 300)
-    whose ``lengths`` give each caption's token count.
+    ``e`` is (N, 300) packed rows laid out by ``packing``; without one, it
+    is a single caption of N tokens.
     """
-    if e.data.ndim not in (2, 3) or e.data.shape[-1] != EMBED_DIM:
+    if e.data.ndim != 2 or e.data.shape[1] != EMBED_DIM:
         raise ag.DimensionError(
-            f"bigru expects (n_tokens, {EMBED_DIM}) or (b, T, {EMBED_DIM}), "
-            f"got {e.data.shape}")
+            f"bigru expects (N, {EMBED_DIM}) packed rows, got {e.data.shape}")
     return HiddenStates(
-        forward=_scan(e, reg, "text.gru.fwd", False, lengths),
-        backward=_scan(e, reg, "text.gru.bwd", True, lengths),
+        forward=_scan(e, reg, "text.gru.fwd", False, packing),
+        backward=_scan(e, reg, "text.gru.bwd", True, packing),
     )

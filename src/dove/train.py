@@ -22,7 +22,7 @@ from . import autograd as ag
 from .batching import Split, gather_batch, split_dataset, training_batches
 from .config import (ConfigError, TrainConfig, config_hash, config_to_text,
                      parse_config_text)
-from .dataio import Dataset
+from .dataio import Dataset, atomic_write
 from .evaluation import recall_block, similarity_matrix
 from .model import Model
 from .optimizer import AdamState, NumericAbort, adam_step, init_adam, lr_at
@@ -117,7 +117,7 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
     result.best_val_mr, result.best_epoch, values, snapshot_state = best
     save_checkpoint(result.checkpoint_path, cfg, model.d_in, model.d_r,
                     values, snapshot_state)
-    with open(result.log_path, "w", encoding="utf-8") as fh:
+    with atomic_write(result.log_path) as fh:
         json.dump({
             "config_hash": config_hash(cfg),
             "best_epoch": result.best_epoch,
@@ -134,7 +134,7 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
 def save_checkpoint(path: str, cfg: TrainConfig, d_in: int, d_r: int,
                     values: dict[str, np.ndarray], state: AdamState):
     config_text = config_to_text(cfg).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(config_text)))
         fh.write(config_text)

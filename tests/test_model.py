@@ -125,6 +125,35 @@ def test_stacked_caption_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
     tiny_model.reg.zero_grad()
 
 
+def test_text_path_computes_only_real_tokens(tiny_model, tiny_dataset,
+                                            monkeypatch):
+    # two chunks of ragged captions: every product on the text path, and
+    # both recurrences, take exactly the chunk's real token rows
+    n = CHUNK + 8
+    token_lists = _ragged_captions(5, n, tiny_dataset.embedding.shape[0], 12)
+    by_length = sorted(len(ids) for ids in token_lists)
+    real = [sum(by_length[:CHUNK]), sum(by_length[CHUNK:])]
+    products, scans = [], []
+    affine, gru_scan = ag.affine, ag.gru_scan
+
+    def counting_affine(x, w, b):
+        products.append(x.data.shape[:-1])
+        return affine(x, w, b)
+
+    def counting_scan(x_z, *args, **kwargs):
+        scans.append(x_z.data.shape)
+        return gru_scan(x_z, *args, **kwargs)
+
+    monkeypatch.setattr(ag, "affine", counting_affine)
+    monkeypatch.setattr(ag, "gru_scan", counting_scan)
+    tiny_model.encode_captions(token_lists)
+    per_chunk = len(products) // 2
+    assert per_chunk > 0
+    assert products == [(real[0],)] * per_chunk + [(real[1],)] * per_chunk
+    d = tiny_model.cfg.d
+    assert scans == [(real[0], d)] * 2 + [(real[1], d)] * 2
+
+
 def test_backward_frees_the_graph_as_it_walks():
     # with every node's gradient, closure and parents kept to the end,
     # the backward peaked at 2.4x the forward graph on this batch

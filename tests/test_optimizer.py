@@ -76,6 +76,38 @@ def test_missing_gradient_is_a_zero_gradient():
     assert state.t == 2
 
 
+def test_adam_step_is_the_written_out_formula_bit_for_bit():
+    # three steps over a matrix, a bias and a parameter with no gradient,
+    # against the formula as written, operation for operation
+    rng = np.random.default_rng(11)
+    theta = {"w": rng.uniform(-1, 1, (3, 4)), "b": rng.uniform(-1, 1, 4),
+             "frozen": rng.uniform(-1, 1, (2, 2))}
+    reg = registry_with(theta)
+    state = init_adam(reg)
+    want = {k: v.copy() for k, v in theta.items()}
+    m = {k: np.zeros_like(v) for k, v in theta.items()}
+    v = {k: np.zeros_like(x) for k, x in theta.items()}
+    lr = 0.01
+    for step in range(1, 4):
+        grads = {"w": rng.uniform(-1, 1, (3, 4)), "b": rng.uniform(-1, 1, 4),
+                 "frozen": None}
+        for k, g in grads.items():
+            reg[k].grad = None if g is None else g.copy()
+        adam_step(reg, state, lr)
+        for k, g in grads.items():
+            g = np.zeros_like(want[k]) if g is None else g
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * (g * g)
+            m_hat = m[k] / (1.0 - BETA1 ** step)
+            v_hat = v[k] / (1.0 - BETA2 ** step)
+            want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + EPS)
+    for k in theta:
+        assert np.array_equal(reg[k].data, want[k]), k
+        assert np.array_equal(state.m[k], m[k]), k
+        assert np.array_equal(state.v[k], v[k]), k
+    assert np.array_equal(reg["frozen"].data, theta["frozen"])
+
+
 def test_nonfinite_gradient_aborts():
     reg = registry_with({"w": np.array([1.0])})
     state = init_adam(reg)

@@ -95,21 +95,25 @@ def test_gradients_flow_to_every_gate():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gru_scan_matches_oracle_direction(seed):
-    # one padded batch of ragged captions; every caption's rows match the
-    # oracle run on that caption alone
+    # packed rows of ragged captions, one of a single token; every
+    # caption's rows match the oracle run on that caption alone
     reg, vals = fresh(seed + 20)
     rng = np.random.default_rng(seed)
-    lengths = np.array([3 + seed, 1, 2 + seed // 2])
-    e = rng.uniform(-1, 1, (3, lengths.max(), EMBED_DIM))
+    lengths = sorted([3 + seed, 1, 2 + seed // 2], reverse=True)
+    packing = ag.Packing(lengths)
+    e = rng.uniform(-1, 1, (3, lengths[0], EMBED_DIM))
+    rows = ag.constant(packing.packed(e))
     for direction, reverse in (("fwd", False), ("bwd", True)):
         p = f"text.gru.{direction}"
-        x = [ag.affine(ag.constant(e), reg[f"{p}.w_{g}"], reg[f"{p}.b_{g}"])
+        x = [ag.affine(rows, reg[f"{p}.w_{g}"], reg[f"{p}.b_{g}"])
              for g in ("z", "r", "h")]
         got = ag.gru_scan(*x, *(reg[f"{p}.u_{g}"] for g in ("z", "r", "h")),
-                          reverse=reverse, lengths=lengths)
+                          reverse=reverse, packing=packing)
+        assert got.data.shape == (sum(lengths), D)
+        states = packing.padded(got.data)
         for i, n in enumerate(lengths):
             want = oracles.gru_direction(e[i, :n], vals, p, reverse)
-            assert np.allclose(got.data[i, :n], want, rtol=0.0, atol=1e-12)
+            assert np.allclose(states[i, :n], want, rtol=0.0, atol=1e-12)
 
 
 def _graph_size(root):
@@ -123,15 +127,15 @@ def _graph_size(root):
 
 
 def test_direction_graph_size_does_not_grow_with_caption_length():
-    # nor with the number of captions in a padded batch
+    # nor with the number of captions packed together
     reg, _ = fresh(5)
     rng = np.random.default_rng(3)
     sizes = set()
     for b, n in ((1, 3), (2, 3), (6, 15)):
-        lengths = rng.integers(1, n + 1, b)
+        lengths = np.sort(rng.integers(1, n + 1, b))[::-1]
         lengths[0] = n
-        e = ag.constant(rng.uniform(-1, 1, (b, n, EMBED_DIM)))
-        sizes.add(_graph_size(bigru(e, reg, lengths).forward))
+        e = ag.constant(rng.uniform(-1, 1, (lengths.sum(), EMBED_DIM)))
+        sizes.add(_graph_size(bigru(e, reg, ag.Packing(lengths)).forward))
     assert len(sizes) == 1
 
 

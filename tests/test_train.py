@@ -90,6 +90,24 @@ def test_checkpoint_round_trip(run, tiny_dataset):
     assert written[:-adam] == original[:-adam]
 
 
+def test_a_failed_save_leaves_the_earlier_checkpoint(run, tmp_path):
+    # the Adam section lacks a moment, so the writer raises after the
+    # parameters are out: the earlier file stays, and no temporary file
+    result, _ = run
+    ckpt = load_checkpoint(result.checkpoint_path)
+    path = tmp_path / "checkpoint.bin"
+    zeros = {name: np.zeros_like(arr) for name, arr in ckpt.values.items()}
+    save_checkpoint(str(path), ckpt.cfg, ckpt.d_in, ckpt.d_r, ckpt.values,
+                    AdamState(m=zeros, v=zeros))
+    before = path.read_bytes()
+    values = {name: arr + 1.0 for name, arr in ckpt.values.items()}
+    with pytest.raises(KeyError):
+        save_checkpoint(str(path), ckpt.cfg, ckpt.d_in, ckpt.d_r, values,
+                        AdamState(m=zeros, v={}))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+
 def test_restored_model_reproduces_best_validation_score(run, tiny_dataset):
     result, _ = run
     ckpt = load_checkpoint(result.checkpoint_path)
