@@ -22,16 +22,17 @@ by block, ``transpose`` swaps the last two axes, ``affine`` and
 ``softmax_rows`` act on the last axis, ``concat`` joins along either of
 the last two, and ``mean_rows`` pools each block's rows.  All but
 ``mean_rows`` take a single rank-2 block too, and run the same code on
-it.  Where blocks are sequences padded to one length, ``lengths`` says
-how many leading rows of each block are real; ``softmax_rows`` and
-``mean_rows`` then keep the padding out of every real result.
+it.
 
-Sequences of different lengths travel as packed rows instead: one
-(N, n) array of their real rows only, time-major and longest sequence
-first, laid out by a ``Packing``.  Row-wise ops run on packed rows as on
-any matrix, ``gru_scan`` steps them directly, and ``unpack`` / ``pack``
-convert to and from the zero-padded (b, T, n) batch for the ops that
-need whole sequences side by side.
+Sequences of different lengths travel as packed rows: one (N, n) array
+of their real rows only, time-major and longest sequence first, laid out
+by a ``Packing``.  Row-wise ops run on packed rows as on any matrix,
+``gru_scan`` steps them directly, and ``unpack`` / ``pack`` convert to
+and from the zero-padded (b, T, n) batch for the ops that need whole
+sequences side by side.  The ``Packing`` is the one description of that
+ragged layout: it holds the key mask that ``softmax_rows`` applies to a
+padded batch of scores, and the averaging matrix whose product with the
+packed rows is each sequence's mean row.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -197,15 +198,6 @@ def _acc(t: Tensor, g: np.ndarray, fresh: bool = False):
         t.grad += g
 
 
-def _length_mask(lengths, b: int, n: int) -> np.ndarray:
-    """(b, n) bool: True at the first ``lengths[i]`` positions of block i."""
-    lengths = np.asarray(lengths)
-    if lengths.shape != (b,) or not np.all((lengths >= 1) & (lengths <= n)):
-        raise DimensionError(
-            f"lengths must be {b} counts in 1..{n}, got {lengths.tolist()}")
-    return np.arange(n) < lengths[:, None]
-
-
 # ---------------------------------------------------------------- structure
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -316,7 +308,12 @@ class Packing:
     live at position t are therefore the leading ``sizes[t]`` ones, and
     their rows start at ``offsets[t]``.  ``index[j]`` is packed row j's
     place i * T + t in the (b, T) grid of a padded batch, T being
-    ``lengths[0]``.
+    ``lengths[0]``, so sequence i's rows are ``offsets[:lengths[i]] + i``.
+
+    ``keys`` (b, T) is True at each sequence's real positions of that
+    grid.  ``averaging`` (b, N) holds 1 / lengths[i] in row i at sequence
+    i's packed rows and 0 elsewhere: its product with (N, n) packed rows
+    is each sequence's mean row.
     """
 
     def __init__(self, lengths):
@@ -331,6 +328,9 @@ class Packing:
         self.offsets = np.cumsum(self.sizes) - self.sizes
         t, i = np.nonzero(live)
         self.index = i * lengths[0] + t
+        self.keys = live.T
+        self.averaging = np.zeros((lengths.size, t.size))
+        self.averaging[i, np.arange(t.size)] = 1.0 / lengths[i]
 
     def padded(self, rows: np.ndarray) -> np.ndarray:
         """(N, n) packed rows as a (b, T, n) batch, zero past each end."""
@@ -490,21 +490,25 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor, lengths=None) -> Tensor:
+def softmax_rows(x: Tensor, packing: Packing | None = None) -> Tensor:
     """Softmax along the last axis of a rank-2 or rank-3 tensor, with
     row-max subtraction.
 
-    With ``lengths`` (rank 3 only), only the first ``lengths[i]`` entries
-    of each row of block i take part: the others are masked out before
-    the exponential and get probability exactly 0.
+    With a ``packing``, ``x`` is a (b, m, T) batch of scores against the
+    padded keys of its b sequences: keys past a sequence's end (see
+    ``Packing.keys``) are masked out before the exponential and get
+    probability exactly 0.
     """
-    if x.data.ndim not in (2, 3) or (lengths is not None and x.data.ndim != 3):
+    if x.data.ndim not in (2, 3) or (packing is not None and x.data.ndim != 3):
         raise DimensionError(
-            "softmax_rows expects a rank-2 tensor, or rank-3 with lengths")
+            "softmax_rows expects a rank-2 tensor, or rank-3 with a packing")
     data = x.data
-    if lengths is not None:
-        keys = _length_mask(lengths, data.shape[0], data.shape[2])
-        data = np.where(keys[:, None, :], data, -np.inf)
+    if packing is not None:
+        b, t = packing.keys.shape
+        if data.shape[0] != b or data.shape[2] != t:
+            raise DimensionError(f"softmax_rows expects ({b}, m, {t}) scores "
+                                 f"for its packing, got {data.shape}")
+        data = np.where(packing.keys[:, None, :], data, -np.inf)
     shifted = data - data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -628,23 +632,15 @@ def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
 
 # --------------------------------------------------------------- reductions
 
-def mean_rows(x: Tensor, lengths=None) -> Tensor:
-    """Mean of the rows of each block of a batch, (b, m, n) -> (b, n).
-
-    Row i of the result is the mean of block i's first ``lengths[i]``
-    rows (default: all m); the padding rows are zeroed before the sum, so
-    they add nothing.
-    """
+def mean_rows(x: Tensor) -> Tensor:
+    """Mean of the rows of each block of a batch, (b, m, n) -> (b, n)."""
     if x.data.ndim != 3:
         raise DimensionError("mean_rows expects a rank-3 tensor")
-    b, m = x.data.shape[:2]
-    lengths = np.full(b, m) if lengths is None else np.asarray(lengths)
-    keep = _length_mask(lengths, b, m)[:, :, None]
-    count = lengths[:, None]
-    out = _result((x.data * keep).sum(axis=1) / count, (x,))
+    m = x.data.shape[1]
+    out = _result(x.data.sum(axis=1) / m, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, (g / count)[:, None, :] * keep, fresh=True)
+            _acc(x, np.broadcast_to((g / m)[:, None, :], x.data.shape))
         out._bw = bw
     return out
 

@@ -80,8 +80,9 @@ def primitive_gradcheck(seed: int = 0) -> float:
     for reverse in (False, True):
         check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse))
 
-    # padded batches: three blocks of 4 rows holding 4, 1 and 2 real rows
-    lengths = [4, 1, 2]
+    # padded batches: three blocks of 4 rows; the packing's sequences of
+    # 4, 2 and 1 tokens, 7 rows in all, mask the scores' keys
+    packing = ag.Packing([4, 2, 1])
     a3 = Tensor(_rand(stream, 3, 4, 2), requires_grad=True)
     b3 = Tensor(_rand(stream, 3, 2, 4), requires_grad=True)
     check({"a": a3, "b": b3}, lambda: ag.matmul(a3, b3))
@@ -92,12 +93,10 @@ def primitive_gradcheck(seed: int = 0) -> float:
     w2 = Tensor(_rand(stream, 2, 5), requires_grad=True)
     check({"x": a3, "w": w2, "b": b5}, lambda: ag.affine(a3, w2, b5))
     s3 = Tensor(_rand(stream, 3, 4, 4), requires_grad=True)
-    check({"s": s3}, lambda: ag.softmax_rows(s3, lengths))
+    check({"s": s3}, lambda: ag.softmax_rows(s3, packing))
     check({"a": a3}, lambda: ag.mean_rows(a3))
-    check({"a": a3}, lambda: ag.mean_rows(a3, lengths))
 
-    # packed rows: sequences of 4, 2 and 1 tokens, 7 rows in all
-    packing = ag.Packing([4, 2, 1])
+    # packed rows of the same packing
     rows = Tensor(_rand(stream, 7, 2), requires_grad=True)
     check({"a": rows}, lambda: ag.unpack(rows, packing))
     check({"a": a3}, lambda: ag.pack(a3, packing))

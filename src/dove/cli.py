@@ -8,6 +8,7 @@ inputs and seed (timings go only to the JSON train log).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import replace
@@ -69,7 +70,6 @@ def cmd_synth(args) -> int:
                        n_clusters=args.clusters, n_m=args.n_m, n_r=args.n_r,
                        d_in=args.d_in,
                        d_r=args.d_r if args.d_r else max(1, args.d_in // 2),
-                       vocab_size=args.vocab_size,
                        caption_len_range=(args.len_min, args.len_max),
                        captions_per_image=args.captions_per_image)
     manifest = write_dataset(ds, args.out)
@@ -129,7 +129,6 @@ def cmd_distances(args) -> int:
         print(f"{key:<12} mean={s['mean']:.6f} median={s['median']:.6f} "
               f"stddev={s['stddev']:.6f} n={s['n_pairs']}")
     if args.out:
-        import json
         with atomic_write(args.out) as fh:
             json.dump(stats, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -173,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-in", dest="d_in", type=int, default=512)
     p.add_argument("--d-r", dest="d_r", type=int, default=0,
                    help="region width (default: d_in // 2)")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=0,
-                   help="0 sizes the vocabulary exactly")
     p.add_argument("--len-min", dest="len_min", type=int, default=4)
     p.add_argument("--len-max", dest="len_max", type=int, default=8)
     p.add_argument("--captions-per-image", dest="captions_per_image",

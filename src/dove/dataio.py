@@ -273,8 +273,6 @@ class Dataset:
 
 
 def load_dataset(directory: str) -> Dataset:
-    import os
-
     msv = load_feature_bank(os.path.join(directory, MSV_FILE))
     roi = load_feature_bank(os.path.join(directory, ROI_FILE))
     if msv.shape[0] != roi.shape[0]:

@@ -236,6 +236,8 @@ def build_report(model: Model, ds: Dataset, image_indices: list[int],
                  with_distances: bool = True) -> RetrievalReport:
     """Recalls, subset recalls and distances from one encoding of the split."""
     caption_indices = ds.captions_of(image_indices)
+    if not caption_indices:
+        raise ValueError("the evaluated images have no captions")
     codes = (encode_images(model, ds, image_indices),
              encode_captions(model, ds, caption_indices))
     sim = similarity_matrix(model, ds, image_indices, caption_indices,

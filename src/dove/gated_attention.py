@@ -67,7 +67,7 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
         scores = ag.mul(ag.matmul(
             ag.unpack(ag.mul(gate, q), packing),
             ag.transpose(ag.unpack(ag.mul(gate, key), packing))), inv_sqrt)
-        outs.append(ag.matmul(ag.softmax_rows(scores, packing.lengths),
+        outs.append(ag.matmul(ag.softmax_rows(scores, packing),
                               ag.unpack(v, packing)))
     return ag.pack(ag.concat(*outs, axis=-1), packing)
 

@@ -111,10 +111,11 @@ class Model:
         Captions are sorted by length (stable by position) and encoded in
         chunks of ``CHUNK``, each one longest caption first.  A chunk runs
         through the BiGRU and DTGA as one (N, d) array of packed rows (see
-        ``autograd.Packing``), its N real tokens and no padding; ``T_G``
-        is the mean over a caption's tokens.  A caption's code does not
-        depend on its chunk-mates beyond the last bits of the batched
-        products.
+        ``autograd.Packing``), its N real tokens and no padding.  ``T_G``
+        is the mean over a caption's tokens: one product of the packing's
+        (b, N) averaging matrix with the chunk's word features.  A
+        caption's code does not depend on its chunk-mates beyond the last
+        bits of the batched products.
         """
         by_length = sorted(range(len(token_lists)),
                            key=lambda i: len(token_lists[i]))
@@ -129,8 +130,7 @@ class Model:
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
                                    self.cfg.heads, mode=self.cfg.dtga_inputs,
                                    disabled=self.cfg.no_dtga, packing=packing)
-            chunks.append(ag.mean_rows(ag.unpack(f_g, packing),
-                                       packing.lengths))
+            chunks.append(ag.matmul(ag.constant(packing.averaging), f_g))
         # the inverse permutation puts caption j's code in row j
         return ag.take_rows(ag.concat(*chunks, axis=-2), np.argsort(order))
 

@@ -35,7 +35,7 @@ class SynthDataset:
     roi: np.ndarray                      # (n_images, n_r, d_r)
     captions: list[tuple[int, list[str]]]
     vocab_tokens: list[str]              # index == id, [0] is the unknown
-    embedding: np.ndarray                # (vocab_size, 300)
+    embedding: np.ndarray                # (len(vocab_tokens), 300)
     clusters: list[int]                  # cluster id per image
 
 
@@ -52,7 +52,6 @@ def _feature_bank(seed: int, name: str, clusters: list[int], n_clusters: int,
 def synth_dataset(seed: int, n_images: int, n_clusters: int,
                   n_m: int = 4, n_r: int = 36,
                   d_in: int = 512, d_r: int = 256,
-                  vocab_size: int = 0,
                   caption_len_range: tuple[int, int] = (4, 8),
                   captions_per_image: int = 5) -> SynthDataset:
     if n_clusters < 2:
@@ -70,7 +69,7 @@ def synth_dataset(seed: int, n_images: int, n_clusters: int,
     if captions_per_image < 1:
         raise SynthError("captions_per_image must be >= 1")
 
-    # ---- vocabulary: unknown, cluster pools, one id token per image, pads
+    # ---- vocabulary: unknown, cluster pools, one id token per image
     tokens = ["<unk>"]
     pools = []
     for c in range(n_clusters):
@@ -79,12 +78,6 @@ def synth_dataset(seed: int, n_images: int, n_clusters: int,
         tokens.extend(pool)
     image_tokens = [f"img{i}" for i in range(n_images)]
     tokens.extend(image_tokens)
-    needed = len(tokens)
-    if vocab_size == 0:
-        vocab_size = needed
-    if vocab_size < needed:
-        raise SynthError(f"vocab_size {vocab_size} below required {needed}")
-    tokens.extend(f"pad{j}" for j in range(vocab_size - needed))
 
     clusters = [i % n_clusters for i in range(n_images)]
 
@@ -108,8 +101,8 @@ def synth_dataset(seed: int, n_images: int, n_clusters: int,
 
     # ---- embedding table: unknown row is zero, the rest uniform
     emb_stream = RngStream(derive_seed(seed, "embedding"))
-    embedding = emb_stream.uniform(vocab_size * dataio.EMBED_DIM, -0.5, 0.5)
-    embedding = embedding.reshape(vocab_size, dataio.EMBED_DIM)
+    embedding = emb_stream.uniform(len(tokens) * dataio.EMBED_DIM, -0.5, 0.5)
+    embedding = embedding.reshape(len(tokens), dataio.EMBED_DIM)
     embedding[dataio.UNKNOWN_ID] = 0.0
 
     return SynthDataset(msv, roi, captions, tokens, embedding, clusters)

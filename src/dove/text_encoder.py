@@ -3,8 +3,11 @@
 The embedding table is ingested data (not a learned parameter).  A
 batch of captions is one (N, 300) array of packed rows, time-major and
 longest caption first, laid out by an ``autograd.Packing`` built from
-their lengths: it holds real tokens only, so every map computes real
-rows only.  Both GRU directions share the structure
+their lengths: table rows are gathered straight into that order, and it
+holds real tokens only, so every map computes real rows only.  Padding
+appears only inside the attention downstream (see ``gated_attention``),
+and each caption's ``T_G`` is one product of the packing's averaging
+matrix with the word features.  Both GRU directions share the structure
 
     z_t = sigmoid(e_t W_z + h_{t-1} U_z + b_z)
     r_t = sigmoid(e_t W_r + h_{t-1} U_r + b_r)
@@ -68,10 +71,10 @@ def embed_captions(token_lists: list[list[int]],
     and their packing."""
     rows = [embed_tokens(ids, table).data for ids in token_lists]
     packing = ag.Packing([len(r) for r in rows])
-    e = np.zeros((len(rows), packing.lengths[0], EMBED_DIM))
+    e = np.empty((packing.index.size, EMBED_DIM))
     for i, r in enumerate(rows):
-        e[i, :len(r)] = r
-    return ag.constant(packing.packed(e)), packing
+        e[packing.offsets[:len(r)] + i] = r
+    return ag.constant(e), packing
 
 
 def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool,

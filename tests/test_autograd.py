@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from dove import autograd as ag
 from dove.autograd import DegenerateVectorError, DimensionError, Tensor
 from dove.checks import primitive_gradcheck
@@ -215,6 +216,62 @@ def test_concat_matches_numpy_and_splits_the_gradient(shapes, axis):
 def test_concat_rejects_what_it_cannot_join(shapes, axis):
     with pytest.raises(DimensionError):
         ag.concat(*(_param(np.ones(s)) for s in shapes), axis=axis)
+
+
+# ------------------------------------------------------------ ragged layout
+
+def test_packing_layout_of_three_sequences():
+    # time-major rows: token 0 of all three, token 1 of the first two,
+    # then tokens 2 and 3 of the first
+    p = ag.Packing([4, 2, 1])
+    assert p.sizes.tolist() == [3, 2, 1, 1]
+    assert p.offsets.tolist() == [0, 3, 5, 6]
+    assert p.index.tolist() == [0, 4, 8, 1, 5, 2, 3]
+    assert np.array_equal(p.keys, [[True, True, True, True],
+                                   [True, True, False, False],
+                                   [True, False, False, False]])
+    assert np.array_equal(p.averaging, [
+        [0.25, 0.0, 0.0, 0.25, 0.0, 0.25, 0.25],
+        [0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def test_packing_layout_of_one_token():
+    p = ag.Packing([1])
+    assert p.sizes.tolist() == [1] and p.offsets.tolist() == [0]
+    assert p.index.tolist() == [0]
+    assert np.array_equal(p.keys, [[True]])
+    assert np.array_equal(p.averaging, [[1.0]])
+
+
+@pytest.mark.parametrize("lengths", [[1, 2], [0], []])
+def test_packing_rejects_increasing_empty_or_no_sequences(lengths):
+    with pytest.raises(DimensionError):
+        ag.Packing(lengths)
+
+
+def test_unpack_pads_with_zeros_and_pack_inverts_it():
+    p = ag.Packing([4, 2, 1])
+    rows = ag.constant(np.random.default_rng(0).uniform(-1, 1, (7, 3)))
+    batch = ag.unpack(rows, p).data
+    assert batch.shape == (3, 4, 3)
+    for i, n in enumerate(p.lengths):
+        assert np.array_equal(batch[i, :n], rows.data[p.offsets[:n] + i])
+        assert np.array_equal(batch[i, n:], np.zeros((4 - n, 3)))
+    assert np.array_equal(ag.pack(ag.constant(batch), p).data, rows.data)
+
+
+def test_masked_softmax_is_a_softmax_over_the_real_keys():
+    p = ag.Packing([4, 2, 1])
+    scores = np.random.default_rng(1).uniform(-3, 3, (3, 5, 4))
+    got = ag.softmax_rows(ag.constant(scores), p).data
+    for i, n in enumerate(p.lengths):
+        assert np.all(got[i, :, n:] == 0.0)
+        want = oracles.softmax_rows(scores[i, :, :n])
+        assert np.allclose(got[i, :, :n], want, rtol=0.0, atol=1e-15)
+    for bad in (scores[:2], scores[..., :3], scores[0]):
+        with pytest.raises(DimensionError):
+            ag.softmax_rows(ag.constant(bad), p)
 
 
 # ------------------------------------------------------------- construction

@@ -1,6 +1,7 @@
 """Similarity grids, recall metrics, distance statistics, reports."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -227,6 +228,16 @@ def test_subset_eval_matches_direct_computation(tiny_model, tiny_dataset):
     assert np.allclose(full.scores[np.ix_(rows, cols)], direct.scores,
                        rtol=0.0, atol=1e-12)
     assert np.array_equal(full.text_to_image[cols], direct.text_to_image)
+
+
+def test_report_over_images_without_captions_says_so(tiny_model,
+                                                     tiny_dataset):
+    # image 5 keeps its features but loses its captions
+    ds = dataclasses.replace(tiny_dataset, captions=[
+        r for r in tiny_dataset.captions if r.image_index != 5])
+    with pytest.raises(ValueError,
+                       match="the evaluated images have no captions"):
+        build_report(tiny_model, ds, [5], "x")
 
 
 def test_subset_eval_singleton_is_trivially_perfect(tiny_model, tiny_dataset):

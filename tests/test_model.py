@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dove import autograd as ag
+from dove import gated_attention as ga
 from dove.model import CHUNK
 
 
@@ -152,6 +153,31 @@ def test_text_path_computes_only_real_tokens(tiny_model, tiny_dataset,
     assert products == [(real[0],)] * per_chunk + [(real[1],)] * per_chunk
     d = tiny_model.cfg.d
     assert scans == [(real[0], d)] * 2 + [(real[1], d)] * 2
+
+
+def test_caption_code_is_the_mean_of_its_real_word_features(
+        tiny_model, tiny_dataset, monkeypatch):
+    # one chunk of distinct lengths, so the k-th longest caption is
+    # sequence k of the packing, whose rows are offsets[:n] + k
+    captured = []
+    word_features = ga.word_features
+
+    def capturing(*args, packing, **kwargs):
+        f_g = word_features(*args, packing=packing, **kwargs)
+        captured.append((f_g.data, packing))
+        return f_g
+
+    monkeypatch.setattr(ga, "word_features", capturing)
+    lengths = [3, 7, 1, 5, 2]
+    rng = np.random.default_rng(2)
+    vocab = tiny_dataset.embedding.shape[0]
+    t_g = tiny_model.encode_captions(
+        [[int(t) for t in rng.integers(0, vocab, n)] for n in lengths]).data
+    [(f_g, packing)] = captured
+    longest_first = sorted(lengths, reverse=True)
+    for j, n in enumerate(lengths):
+        rows = f_g[packing.offsets[:n] + longest_first.index(n)]
+        assert np.allclose(t_g[j], rows.mean(axis=0), rtol=0.0, atol=1e-15)
 
 
 def test_backward_frees_the_graph_as_it_walks():

@@ -77,12 +77,6 @@ def test_unknown_embedding_row_is_zero():
     assert np.abs(ds.embedding[1:]).max() > 0
 
 
-def test_vocab_padding():
-    ds = small(vocab_size=200)
-    assert len(ds.vocab_tokens) == 200
-    assert ds.embedding.shape == (200, dataio.EMBED_DIM)
-
-
 @pytest.mark.parametrize("kw", [
     dict(n_clusters=1),
     dict(n_images=1, n_clusters=2),
@@ -90,7 +84,6 @@ def test_vocab_padding():
     dict(caption_len_range=(6, 5)),
     dict(captions_per_image=0),
     dict(d_in=0),
-    dict(vocab_size=5),
 ])
 def test_rejects_inconsistent_arguments(kw):
     with pytest.raises(SynthError):
