@@ -18,21 +18,19 @@ as a shape-() constant, builds no ``Tensor`` and gets no gradient.
 along rows as it is and along columns once transposed.
 
 Rank-3 tensors are batches of rank-2 blocks: ``matmul`` multiplies block
-by block, ``transpose`` swaps the last two axes, ``affine`` and
-``softmax_rows`` act on the last axis, ``concat`` joins along either of
-the last two, and ``mean_rows`` pools each block's rows.  All but
-``mean_rows`` take a single rank-2 block too, and run the same code on
-it.
+by block, ``transpose`` swaps the last two axes, ``affine`` acts on the
+last axis, ``concat`` joins along either of the last two, and
+``mean_rows`` pools each block's rows.  All but ``mean_rows`` take a
+single rank-2 block too, and run the same code on it.
 
 Sequences of different lengths travel as packed rows: one (N, n) array
 of their real rows only, time-major and longest sequence first, laid out
-by a ``Packing``.  Row-wise ops run on packed rows as on any matrix,
-``gru_scan`` steps them directly, and ``unpack`` / ``pack`` convert to
-and from the zero-padded (b, T, n) batch for the ops that need whole
-sequences side by side.  The ``Packing`` is the one description of that
-ragged layout: it holds the key mask that ``softmax_rows`` applies to a
-padded batch of scores, and the averaging matrix whose product with the
-packed rows is each sequence's mean row.
+by a ``Packing``.  Row-wise ops run on packed rows as on any matrix, and
+``gru_scan`` and ``gated_attention`` take them directly.  The
+``Packing`` is the one description of that ragged layout: it pads rows
+into a (b, T, n) batch and packs them back, takes the softmax over each
+sequence's real keys, and holds the averaging matrix whose product with
+the packed rows is each sequence's mean row.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -41,6 +39,7 @@ canonical order before any op sees them.
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 
 import numpy as np
@@ -49,8 +48,8 @@ __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
     "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
     "affine",
-    "sigmoid", "relu", "softmax_rows", "mean_rows", "reduce_sum", "concat",
-    "normalize_rows", "take_diag", "pack", "unpack", "gru_scan",
+    "sigmoid", "relu", "mean_rows", "reduce_sum", "concat",
+    "normalize_rows", "take_diag", "gru_scan", "gated_attention",
     "grad_check",
 ]
 
@@ -159,10 +158,11 @@ class Tensor:
             node = order.pop()
             if node._bw is None:  # a leaf
                 continue
-            node._bw(node.grad)
-            node._bw, node._parents = _consumed, ()
+            bw, g, node._bw, node._parents = node._bw, node.grad, _consumed, ()
             if node is not self:
                 node.grad = None
+            del node  # so an output nothing holds goes before bw allocates
+            bw(g)
 
 
 def constant(data) -> Tensor:
@@ -343,34 +343,11 @@ class Packing:
         """The (N, n) real rows of a (b, T, n) batch."""
         return batch.reshape(-1, batch.shape[2])[self.index]
 
-
-def pack(x: Tensor, packing: Packing) -> Tensor:
-    """A (b, T, n) batch's real rows as (N, n) packed rows; the inverse
-    of ``unpack``, so each is the other's backward."""
-    grid = (packing.lengths.size, packing.lengths[0])
-    if x.data.ndim != 3 or x.data.shape[:2] != grid:
-        raise DimensionError(f"pack expects a {grid + ('n',)} batch, "
-                             f"got {x.data.shape}")
-    out = _result(packing.packed(x.data), (x,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(x, packing.padded(g), fresh=True)
-        out._bw = bw
-    return out
-
-
-def unpack(x: Tensor, packing: Packing) -> Tensor:
-    """(N, n) packed rows as a (b, T, n) batch, zero past each sequence's
-    end."""
-    if x.data.ndim != 2 or x.data.shape[0] != packing.index.size:
-        raise DimensionError(f"unpack expects ({packing.index.size}, n) "
-                             f"rows, got {x.data.shape}")
-    out = _result(packing.padded(x.data), (x,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(x, packing.packed(g), fresh=True)
-        out._bw = bw
-    return out
+    def softmax(self, scores: np.ndarray) -> np.ndarray:
+        """Row softmax of (b, m, T) scores over each sequence's real keys."""
+        masked = np.where(self.keys[:, None, :], scores, -np.inf)
+        e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
 
 
 # -------------------------------------------------------------- elementwise
@@ -490,37 +467,6 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor, packing: Packing | None = None) -> Tensor:
-    """Softmax along the last axis of a rank-2 or rank-3 tensor, with
-    row-max subtraction.
-
-    With a ``packing``, ``x`` is a (b, m, T) batch of scores against the
-    padded keys of its b sequences: keys past a sequence's end (see
-    ``Packing.keys``) are masked out before the exponential and get
-    probability exactly 0.
-    """
-    if x.data.ndim not in (2, 3) or (packing is not None and x.data.ndim != 3):
-        raise DimensionError(
-            "softmax_rows expects a rank-2 tensor, or rank-3 with a packing")
-    data = x.data
-    if packing is not None:
-        b, t = packing.keys.shape
-        if data.shape[0] != b or data.shape[2] != t:
-            raise DimensionError(f"softmax_rows expects ({b}, m, {t}) scores "
-                                 f"for its packing, got {data.shape}")
-        data = np.where(packing.keys[:, None, :], data, -np.inf)
-    shifted = data - data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _result(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            _acc(x, (g - inner) * y, fresh=True)
-        out._bw = bw
-    return out
-
-
 def normalize_rows(x: Tensor) -> Tensor:
     """Each row divided by its Euclidean norm; rejects near-zero rows."""
     if x.data.ndim != 2:
@@ -626,6 +572,74 @@ def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
                                (u_h, rs * h_prev, da_h)):
                 if u.requires_grad:
                     _acc(u, inp.T @ da, fresh=True)
+        out._bw = bw
+    return out
+
+
+# ----------------------------------------------------------------- attention
+
+def gated_attention(x: Tensor, packing: Packing, heads: list) -> Tensor:
+    """Gated multi-head self-attention over packed rows, as one graph node.
+
+    ``x`` is (N, d) rows laid out by ``packing``; ``heads`` holds each
+    head's (w_q, b_q, w_k, b_k, w_v, b_v, w_a, b_a).  Head i, within each
+    sequence and with the softmax over its real keys, is
+
+        q, k, v = x W_q + b_q, x W_k + b_k, x W_v + b_v
+        g = sigmoid((q * k) W_a + b_a)
+        out[:, i d_h:(i + 1) d_h] = softmax((g * q) (g * k)^T / sqrt(d_h)) v
+
+    One product with the maps, joined inside the node, gives every q|k|v.
+    The backward keeps that block, the gates and the probabilities P and
+    recomputes the rest: dS = P (dP - rowsum(dP P)), the gate's product
+    rule, then one product for the maps' gradient and one for the input's.
+    """
+    d_h = heads[0][0].data.shape[-1] if heads else 0
+    want = [(x.data.shape[-1], d_h), (d_h,)] * 3 + [(d_h, d_h), (d_h,)]
+    if (x.data.ndim != 2 or x.data.shape[0] != packing.index.size or not d_h
+            or any([t.data.shape for t in h] != want for h in heads)):
+        raise DimensionError(f"gated_attention expects ({packing.index.size}, "
+                             f"d) rows and heads shaped {want}")
+    maps, biases = ([t for h in heads for t in h[j:6:2]] for j in (0, 1))
+    qkv = (x.data @ np.concatenate([w.data for w in maps], axis=1)
+           + np.concatenate([b.data for b in biases])[None, :])
+    cols = [slice(m * d_h, (m + 1) * d_h) for m in range(len(maps))]
+    inv_sqrt = 1.0 / math.sqrt(d_h)
+    out = _result(np.empty((x.data.shape[0], len(heads) * d_h)),
+                  (x, *(t for h in heads for t in h)))
+    saved = []  # each head's gate and probabilities
+    for i, h in enumerate(heads):
+        q, k, v = (qkv[:, c] for c in cols[3 * i:3 * i + 3])
+        g = _sigmoid_values((q * k) @ h[6].data + h[7].data[None, :])
+        p = packing.softmax(packing.padded(g * q)
+                            @ _swap(packing.padded(g * k)) * inv_sqrt)
+        out.data[:, cols[i]] = packing.packed(p @ packing.padded(v))
+        saved.append((g, p))
+    if out.requires_grad:
+        def bw(dy):
+            dqkv, grads = np.empty_like(qkv), []  # grads: (parameter, gradient)
+            for i, (h, (g, p)) in enumerate(zip(heads, saved)):
+                q, k, v = (qkv[:, c] for c in cols[3 * i:3 * i + 3])
+                dout = packing.padded(dy[:, cols[i]])
+                dp = dout @ _swap(packing.padded(v))
+                ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * inv_sqrt
+                dgq = packing.packed(ds @ packing.padded(g * k))
+                dgk = packing.packed(_swap(ds) @ packing.padded(g * q))
+                da = (dgq * q + dgk * k) * g * (1.0 - g)
+                dqk = da @ h[6].data.T
+                dqkv[:, cols[3 * i]] = dgq * g + dqk * k
+                dqkv[:, cols[3 * i + 1]] = dgk * g + dqk * q
+                dqkv[:, cols[3 * i + 2]] = packing.packed(_swap(p) @ dout)
+                grads += [(h[6], (q * k).T @ da), (h[7], da.sum(axis=0))]
+            if x.requires_grad:
+                w = np.concatenate([t.data for t in maps], axis=1)
+                _acc(x, dqkv @ w.T, fresh=True)
+            dw, db = x.data.T @ dqkv, dqkv.sum(axis=0)
+            grads += zip(maps + biases, [dw[:, c] for c in cols]
+                         + [db[c] for c in cols])
+            for t, grad in grads:
+                if t.requires_grad:
+                    _acc(t, grad)
         out._bw = bw
     return out
 

@@ -65,7 +65,6 @@ def primitive_gradcheck(seed: int = 0) -> float:
 
     check({"x": x}, lambda: ag.sigmoid(x))
     check({"x": x}, lambda: ag.relu(x))
-    check({"x": x}, lambda: ag.softmax_rows(x))
     check({"x": x}, lambda: ag.normalize_rows(x))
     check({"x": x}, lambda: ag.reduce_sum(x))
 
@@ -80,9 +79,7 @@ def primitive_gradcheck(seed: int = 0) -> float:
     for reverse in (False, True):
         check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse))
 
-    # padded batches: three blocks of 4 rows; the packing's sequences of
-    # 4, 2 and 1 tokens, 7 rows in all, mask the scores' keys
-    packing = ag.Packing([4, 2, 1])
+    # batches of three blocks of 4 rows
     a3 = Tensor(_rand(stream, 3, 4, 2), requires_grad=True)
     b3 = Tensor(_rand(stream, 3, 2, 4), requires_grad=True)
     check({"a": a3, "b": b3}, lambda: ag.matmul(a3, b3))
@@ -92,14 +89,17 @@ def primitive_gradcheck(seed: int = 0) -> float:
               lambda: ag.concat(a3, ag.transpose(b3), axis=axis))
     w2 = Tensor(_rand(stream, 2, 5), requires_grad=True)
     check({"x": a3, "w": w2, "b": b5}, lambda: ag.affine(a3, w2, b5))
-    s3 = Tensor(_rand(stream, 3, 4, 4), requires_grad=True)
-    check({"s": s3}, lambda: ag.softmax_rows(s3, packing))
     check({"a": a3}, lambda: ag.mean_rows(a3))
 
-    # packed rows of the same packing
-    rows = Tensor(_rand(stream, 7, 2), requires_grad=True)
-    check({"a": rows}, lambda: ag.unpack(rows, packing))
-    check({"a": a3}, lambda: ag.pack(a3, packing))
+    # 7 packed rows of 4, 2 and 1 tokens: attention masks padded keys
+    packing = ag.Packing([4, 2, 1])
+    rows = Tensor(_rand(stream, 7, 4), requires_grad=True)
+    heads = [[Tensor(_rand(stream, *shape), requires_grad=True)
+              for shape in [(4, 2), (2,)] * 3 + [(2, 2), (2,)]]
+             for _ in range(2)]
+    check({"x": rows, **{f"h{i}.{j}": t for i, h in enumerate(heads)
+                         for j, t in enumerate(h)}},
+          lambda: ag.gated_attention(rows, packing, heads))
     gates = {f"x_{g}": Tensor(_rand(stream, 7, 3), requires_grad=True)
              for g in "zrh"}
     gates.update({f"u_{g}": Tensor(_rand(stream, 3, 3), requires_grad=True)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 I/O or
-format error, 4 numeric abort.  Config values resolve flag > config
-file > built-in default.  All stdout is deterministic for identical
-inputs and seed (timings go only to the JSON train log).
+Exit codes: 0 success, 1 check failure or internal error, 2 usage/config
+error, 3 I/O or format error, 4 numeric abort.  Config values resolve
+flag > config file > built-in default.  All stdout is deterministic for
+identical inputs and seed (timings go only to the JSON train log).
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
+from .autograd import DimensionError
 from .batching import split_dataset
 from .checks import GRADCHECK_TOLERANCE, gradcheck_report
 from .config import (CHOICES, FIELD_TYPES, ConfigError, TrainConfig,
@@ -228,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericAbort, DegenerateEmbeddingError) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except DimensionError as exc:  # a ValueError that only a defect raises
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,18 +1,13 @@
 """Gated multi-head self-attention and the dual-branch text enhancer.
 
-Per head (width d_h = d / heads) over the (n, d) rows X of a sequence:
-
-    Q = X W_q + b_q,  K = X W_k + b_k,  V = X W_v + b_v
-    G = sigmoid((Q * K) W_a + b_a)          -- multiplicative gate
-    out = softmax_rows((G*Q) (G*K)^T / sqrt(d_h)) V
-
+An attention instance splits width d into heads of d_h = d / heads, each
+gating its queries and keys by a sigmoid of their product, and runs as
+one graph node (``autograd.gated_attention``, which gives the math).
 Head outputs are concatenated along the feature axis; there is no extra
-output projection.  Each head owns its gate parameters.  A batch of
-sequences is (N, d) packed rows laid out by an ``autograd.Packing``:
-every map acts on the real rows only, and just the score, softmax and
-value products see the sequences as a zero-padded (b, T, d_h) batch,
-with padded keys masked out before the softmax, so a real row never
-attends to padding.
+output projection.  A batch of sequences is (N, d) packed rows laid out
+by an ``autograd.Packing``: only the score, softmax and value products
+see them as a zero-padded batch, and padded keys are masked out before
+the softmax, so a real row never attends to padding.
 
 The dual-branch enhancer runs two mirrored branches over an input pair
 (A, B).  A branch self-attends A with a residual, turns B's
@@ -23,8 +18,6 @@ the two attention instances inside a branch) have independent
 parameters.
 """
 from __future__ import annotations
-
-import math
 
 from . import autograd as ag
 from .autograd import Tensor
@@ -48,28 +41,14 @@ def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
                          heads: int, packing: ag.Packing | None = None
                          ) -> Tensor:
     """(N, d) packed rows -> (N, d), one sequence when ``packing`` is
-    None; see the module docstring for the head math."""
+    None."""
     d = x.data.shape[-1]
     if d % heads != 0:
         raise ag.DimensionError(f"width {d} not divisible by {heads} heads")
-    if packing is None:
-        packing = ag.Packing([x.data.shape[0]])
-    d_h = d // heads
-    inv_sqrt = 1.0 / math.sqrt(d_h)
-    outs = []
-    for k in range(heads):
-        p = f"{prefix}.h{k}"
-        q = ag.affine(x, reg[f"{p}.w_q"], reg[f"{p}.b_q"])
-        key = ag.affine(x, reg[f"{p}.w_k"], reg[f"{p}.b_k"])
-        v = ag.affine(x, reg[f"{p}.w_v"], reg[f"{p}.b_v"])
-        gate = ag.sigmoid(ag.affine(ag.mul(q, key), reg[f"{p}.w_a"],
-                                    reg[f"{p}.b_a"]))
-        scores = ag.mul(ag.matmul(
-            ag.unpack(ag.mul(gate, q), packing),
-            ag.transpose(ag.unpack(ag.mul(gate, key), packing))), inv_sqrt)
-        outs.append(ag.matmul(ag.softmax_rows(scores, packing),
-                              ag.unpack(v, packing)))
-    return ag.pack(ag.concat(*outs, axis=-1), packing)
+    return ag.gated_attention(x, packing or ag.Packing([x.data.shape[0]]), [
+        # each head's w_q, b_q, w_k, b_k, w_v, b_v, w_a, b_a
+        [reg[f"{prefix}.h{k}.{wb}_{part}"] for part in "qkva" for wb in "wb"]
+        for k in range(heads)])
 
 
 def _register_map(reg: ParamRegistry, prefix: str, d: int):

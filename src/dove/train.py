@@ -74,7 +74,7 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
         checkpoint_path=os.path.join(out_dir, "checkpoint.bin"),
         log_path=os.path.join(out_dir, "train_log.json"),
     )
-    best = None  # (val_mr, epoch, parameter values, Adam state)
+    best = None  # (val_mr, epoch, [parameters, Adam m, Adam v], Adam steps)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         lr = lr_at(cfg.lr0, cfg.decay_factor, cfg.decay_every, epoch)
@@ -109,14 +109,17 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
         if progress is not None:
             progress(stats)
         if best is None or val_mr >= best[0]:
-            best = (val_mr, epoch,
-                    {name: t.data.copy() for name, t in model.reg.tensors().items()},
-                    AdamState(m={k: v.copy() for k, v in state.m.items()},
-                              v={k: v.copy() for k, v in state.v.items()},
-                              t=state.t))
-    result.best_val_mr, result.best_epoch, values, snapshot_state = best
+            live = ({name: t.data for name, t in model.reg.tensors().items()},
+                    state.m, state.v)
+            kept = best[2] if best else [  # allocated once: no two coexist
+                {k: np.empty_like(a) for k, a in arrays.items()} for arrays in live]
+            for copies, arrays in zip(kept, live):
+                for k, a in arrays.items():
+                    np.copyto(copies[k], a)
+            best = (val_mr, epoch, kept, state.t)
+    result.best_val_mr, result.best_epoch, (values, m, v), steps = best
     save_checkpoint(result.checkpoint_path, cfg, model.d_in, model.d_r,
-                    values, snapshot_state)
+                    values, AdamState(m=m, v=v, t=steps))
     with atomic_write(result.log_path) as fh:
         json.dump({
             "config_hash": config_hash(cfg),

@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from dove import autograd as ag
 from dove.cli import ABLATIONS, build_parser, main, resolve_config
 from dove.config import FIELD_TYPES, TrainConfig, config_hash
 from dove.dataio import (UNKNOWN_ID, load_dataset, load_embedding_table,
@@ -328,6 +329,21 @@ def test_train_degenerate_caption_is_a_numeric_abort(tmp_path, capsys):
     assert re.search(r"numeric abort: epoch 0 batch 0: degenerate code "
                      r"\(.*near-zero norm; images=\[\d+, \d+\], "
                      r"captions=\[\d+, \d+\]\)", err), err
+
+
+def test_engine_shape_fault_is_an_internal_error(workspace, capsys,
+                                                 monkeypatch):
+    # DimensionError is a ValueError, but no input of the user's raises it
+    def faulty(*args):
+        raise ag.DimensionError("attention rows differ from the packing")
+
+    data, run = workspace
+    monkeypatch.setattr(ag, "gated_attention", faulty)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        "internal error: attention rows differ from the packing\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "distances"])

@@ -1,6 +1,8 @@
 """Gated self-attention and the dual-branch text enhancer."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,80 @@ def test_attention_rows_are_convex_mixes_of_values():
     eps = 1e-12
     assert np.all(out <= v.max(axis=0) + eps)
     assert np.all(out >= v.min(axis=0) - eps)
+
+
+# --------------------------------------------------------------- fused node
+
+LENGTHS = [5, 3, 3, 1]  # a ragged chunk, down to a one-token caption
+
+
+def _chunk(seed, lengths, d=D):
+    """A packing of ``lengths``, its packed rows and each caption's rows."""
+    p = ag.Packing(lengths)
+    x = rows(seed, n=p.index.size, d=d)
+    return p, x, [x[p.offsets[:n] + i] for i, n in enumerate(lengths)]
+
+
+def test_fused_node_matches_oracle_per_caption():
+    reg = ParamRegistry(3)
+    register_ga_params(reg, "ga", D, HEADS)
+    vals = {n: t.data for n, t in reg.tensors().items()}
+    p, x, captions = _chunk(30, LENGTHS)
+    got = gated_self_attention(ag.constant(x), reg, "ga", HEADS, p).data
+    for i, cap in enumerate(captions):
+        want = oracles.gated_attention(cap, vals, "ga", HEADS)
+        assert np.allclose(got[p.offsets[:len(cap)] + i], want,
+                           rtol=0.0, atol=1e-12)
+
+
+def test_a_caption_attends_alike_alone_and_among_longer_captions():
+    # padded keys get probability exactly 0, so a caption's rows do not
+    # depend on how far its chunk pads it
+    reg = ParamRegistry(4)
+    register_ga_params(reg, "ga", D, HEADS)
+    p, x, captions = _chunk(40, LENGTHS)
+    got = gated_self_attention(ag.constant(x), reg, "ga", HEADS, p).data
+    for i, cap in enumerate(captions):
+        alone = gated_self_attention(ag.constant(cap), reg, "ga", HEADS).data
+        assert np.allclose(got[p.offsets[:len(cap)] + i], alone,
+                           rtol=0.0, atol=1e-12)
+
+
+def test_fused_node_keeps_only_qkv_gates_and_probabilities():
+    # the per-op graph also kept q*k, the gate pre-activations, g*q and
+    # g*k padded, the scores and the padded values and head outputs
+    d, heads = 64, 2
+    reg = ParamRegistry(5)
+    register_ga_params(reg, "ga", d, heads)
+    p, x, _ = _chunk(50, [16, 14, 12, 9, 5, 1], d=d)
+    x = ag.Tensor(x, requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = gated_self_attention(x, reg, "ga", heads, p)
+        graph = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    n, (b, t) = p.index.size, p.keys.shape
+    kept = 8 * (n * 3 * d + n * d + heads * b * t * t + out.data.size)
+    assert graph <= 1.1 * kept
+
+
+def _head_params(d, d_h, w_a_rows=None):
+    shapes = [(d, d_h), (d_h,)] * 3 + [(w_a_rows or d_h, d_h), (d_h,)]
+    return [ag.constant(np.zeros(s)) for s in shapes]
+
+
+@pytest.mark.parametrize("n_rows, heads", [
+    (5, [_head_params(D, 4)]),                       # rows the packing lacks
+    (4, []),                                         # no heads
+    (4, [_head_params(D, 4), _head_params(D, 2)]),   # heads of two widths
+    (4, [_head_params(D, 4, w_a_rows=3)]),           # a mis-shaped gate map
+])
+def test_fused_node_rejects_mismatched_shapes(n_rows, heads):
+    with pytest.raises(ag.DimensionError):
+        ag.gated_attention(ag.constant(np.zeros((n_rows, D))),
+                           ag.Packing([2, 2]), heads)
 
 
 # ----------------------------------------------------------------- enhancer

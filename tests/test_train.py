@@ -5,12 +5,14 @@ import copy
 import hashlib
 import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dove import params
+from dove import train as train_module
 from dove.batching import split_dataset
 from dove.config import TrainConfig, config_hash
 from dove.evaluation import recall_block, similarity_matrix
@@ -67,6 +69,23 @@ def test_best_epoch_is_last_argmax(run):
     top = max(marks)
     assert result.best_val_mr == top
     assert result.best_epoch == max(i for i, m in enumerate(marks) if m == top)
+
+
+def test_snapshot_holds_the_best_epoch_not_the_last(tiny_dataset, tmp_path,
+                                                    monkeypatch):
+    # scripted recalls: the best is epoch 1 of 3, and a 2-epoch run ends on
+    # it; a snapshot that aliased the live arrays would write epoch 2
+    def trained(scores, name):
+        script = iter(scores)
+        monkeypatch.setattr(train_module, "_val_mr", lambda *a: next(script))
+        result = train(TrainConfig(**dict(CFG, epochs=len(scores))),
+                       tiny_dataset, str(tmp_path / name))
+        assert result.best_epoch == 1
+        blob = open(result.checkpoint_path, "rb").read()
+        config_len = struct.unpack_from("<I", blob, 8)[0]
+        return blob[12 + config_len:]  # the parameters and the Adam section
+
+    assert trained([50.0, 70.0, 60.0], "three") == trained([50.0, 70.0], "two")
 
 
 def test_checkpoint_round_trip(run, tiny_dataset):
