@@ -32,6 +32,12 @@ into a (b, T, n) batch and packs them back, takes the softmax over each
 sequence's real keys, and holds the averaging matrix whose product with
 the packed rows is each sequence's mean row.
 
+``guided_scores`` is the model's final grid, cos(v_mr_i, T_RG(i, j))
+for every image and caption, as one node: it guides the images a block
+at a time and keeps only (N, M) arrays for its backward, which
+recomputes each block.  ``guided_rows`` gives the T_RG rows of chosen
+pairs from the same block arithmetic, as plain values.
+
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
 canonical order before any op sees them.
@@ -50,7 +56,7 @@ __all__ = [
     "affine",
     "sigmoid", "relu", "mean_rows", "reduce_sum", "concat",
     "normalize_rows", "take_diag", "gru_scan", "gated_attention",
-    "grad_check",
+    "guided_scores", "grad_check",
 ]
 
 
@@ -61,9 +67,9 @@ class DimensionError(ValueError):
 class DegenerateVectorError(ValueError):
     """A vector that must have nonzero length is numerically zero.
 
-    ``row`` is the first such row of the operand; a caller that knows
-    more may name the operand further, as ``Model.final_scores`` sets
-    ``image``, the image whose guided block held it.
+    ``row`` is the first such row of the operand.  ``image`` names the
+    operand further where it is a grid of rows: ``guided_scores`` sets it
+    to the image whose guided caption row ``row`` was near zero.
     """
 
     def __init__(self, row: int):
@@ -133,8 +139,9 @@ class Tensor:
         The walk frees the graph as it goes: once a node has passed its
         gradient on, it drops that gradient, its closure and its parents,
         so the forward graph's memory is released during the walk.  The
-        root keeps its gradient and leaves keep theirs.  A later backward
-        through a consumed node raises ``GraphConsumedError``.
+        root keeps its gradient and leaves keep theirs.  Each rule gets a
+        gradient that nothing else holds, and may write over it.  A later
+        backward through a consumed node raises ``GraphConsumedError``.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a size-1 tensor")
@@ -153,13 +160,16 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
+        del visited  # the walk needs only the order
         self.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
             if node._bw is None:  # a leaf
                 continue
             bw, g, node._bw, node._parents = node._bw, node.grad, _consumed, ()
-            if node is not self:
+            if node is self:
+                g = g.copy()  # the root keeps its own
+            else:
                 node.grad = None
             del node  # so an output nothing holds goes before bw allocates
             bw(g)
@@ -409,11 +419,19 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
     return out
 
 
+# rows per product when ``affine``'s backward writes the input gradient
+# over the upstream one
+AFFINE_ROWS = 128
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b, the fused workhorse behind every learned projection.
 
     ``x`` is (m, k) or a batch (b, m, k); every row of it goes through one
-    product, so ``w``'s gradient is one product too.
+    product, so ``w``'s gradient is one product too.  With a square ``w``
+    the backward writes the input gradient over the upstream gradient,
+    ``AFFINE_ROWS`` rows at a time, so it needs no second buffer of that
+    size.
     """
     if x.data.ndim not in (2, 3) or w.data.ndim != 2 or b.data.ndim != 1:
         raise DimensionError(
@@ -428,12 +446,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             g = g.reshape(-1, n)
-            if x.requires_grad:
-                _acc(x, (g @ w.data.T).reshape(x.data.shape), fresh=True)
             if w.requires_grad:
                 _acc(w, rows.T @ g, fresh=True)
             if b.requires_grad:
                 _acc(b, g.sum(axis=0), fresh=True)
+            if not x.requires_grad:
+                return
+            if k == n:  # the input gradient takes g's own buffer
+                for lo in range(0, g.shape[0], AFFINE_ROWS):
+                    g[lo:lo + AFFINE_ROWS] = g[lo:lo + AFFINE_ROWS] @ w.data.T
+            else:
+                g = g @ w.data.T
+            _acc(x, g.reshape(x.data.shape), fresh=True)
         out._bw = bw
     return out
 
@@ -644,6 +668,166 @@ def gated_attention(x: Tensor, packing: Packing, heads: list) -> Tensor:
     return out
 
 
+# ----------------------------------------------------------------- guidance
+
+# elements (1 MB) of one block of guided_scores' (images, M, d) guided
+# rows; a block holds at least one image
+GUIDED_BLOCK = 1 << 17
+
+
+def _guided_block(gates: np.ndarray, a: np.ndarray, f_g: np.ndarray,
+                  head: list, hidden: bool = False) -> tuple:
+    """(hidden, T_RG) of a block of images against M captions.
+
+    ``gates`` (n, M) are the pairs' gates and ``a`` is f_g W1, so the
+    head's first layer is (1 + gates) a.  ``head`` holds the head's
+    arrays.  Both results are (n, M, d).  hidden is the nonlinear head's
+    rectified layer when asked for, else None and its buffer takes the
+    residual.
+    """
+    s = (1.0 + gates)[..., None]
+    first = s * a
+    first += head[1]
+    if len(head) == 2:
+        return None, first
+    np.maximum(first, 0.0, out=first)
+    n, m, d = first.shape
+    t = (first.reshape(-1, d) @ head[2]).reshape(n, m, d)
+    t += head[3]
+    if hidden:
+        t += s * f_g  # the residual (1 + g) f_g
+        return first, t
+    t += np.multiply(s, f_g, out=first)
+    return None, t
+
+
+def _check_guidance(f_r: Tensor, f_g: Tensor, head) -> list:
+    """The head's arrays, once ``f_r``, ``f_g`` and ``head`` fit together."""
+    d = f_g.data.shape[-1]
+    want = [(d, d), (d,)] * (len(head) // 2)
+    if (f_r.data.ndim != 2 or f_g.data.ndim != 2 or f_r.data.shape[1] != d
+            or len(head) not in (2, 4) or [t.data.shape for t in head] != want):
+        raise DimensionError(
+            f"guidance expects (n, d) region rows, (M, d) text rows and a "
+            f"head shaped {want}; got {f_r.data.shape}, {f_g.data.shape} and "
+            f"{[t.data.shape for t in head]}")
+    return [t.data for t in head]
+
+
+def guided_rows(f_r: Tensor, f_g: Tensor, head) -> np.ndarray:
+    """T_RG of each row pair (f_r[k], f_g[k]) as ``guided_scores`` computes
+    it: values only, with no graph."""
+    w = _check_guidance(f_r, f_g, head)
+    if f_r.data.shape != f_g.data.shape:
+        raise DimensionError(f"guided_rows pairs rows one to one, got "
+                             f"{f_r.data.shape} and {f_g.data.shape}")
+    gates = _sigmoid_values(np.einsum("kd,kd->k", f_r.data, f_g.data))
+    return _guided_block(gates[None, :], f_g.data @ w[0], f_g.data, w)[1][0]
+
+
+def guided_scores(v_mr: Tensor, f_r: Tensor, f_g: Tensor, head) -> Tensor:
+    """The final grid S[i, j] = cos(v_mr_i, T_ij), as one graph node.
+
+    ``v_mr`` and ``f_r`` are (N, d) rows of N images, ``f_g`` (M, d) rows
+    of M captions, and ``head`` is (w, b) or (w1, b1, w2, b2).  Pair (i, j)
+    is guided as
+
+        g = sigmoid(<f_r_i, f_g_j>)        u = (1 + g) f_g_j
+        T_ij = u W + b                     (linear head)
+        T_ij = relu(u W1 + b1) W2 + b2 + u (nonlinear head)
+
+    All N x M gates are one product, and so is A = f_g W1: a pair's first
+    layer is then (1 + g) A_j.  The images go by in blocks of at most
+    ``GUIDED_BLOCK`` guided elements, so no N x M x d array is ever held.
+    The node keeps the (N, M) gates, norms |T| and scores, A and the unit
+    rows of v_mr; the backward recomputes each block, and ends with one
+    product each for W1's, f_g's and f_r's gradients.
+
+    A near-zero v_mr row i raises ``DegenerateVectorError`` with ``row``
+    i; a near-zero T_ij raises it with ``row`` j and ``image`` i.
+    """
+    w = _check_guidance(f_r, f_g, head)
+    n, d = f_r.data.shape
+    m = f_g.data.shape[0]
+    if v_mr.data.shape != (n, d):
+        raise DimensionError(f"guided_scores expects ({n}, {d}) image rows, "
+                             f"got {v_mr.data.shape}")
+    norms = np.sqrt(np.einsum("nd,nd->n", v_mr.data, v_mr.data))[:, None]
+    bad = norms[:, 0] < 1e-12
+    if bad.any():
+        raise DegenerateVectorError(int(np.argmax(bad)))
+    y = v_mr.data / norms
+    gates = _sigmoid_values(f_r.data @ f_g.data.T)
+    a = f_g.data @ w[0]
+    step = max(1, GUIDED_BLOCK // max(1, m * d))
+    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    t_norms, scores = np.empty((n, m)), np.empty((n, m))
+    for rows in blocks:
+        t = _guided_block(gates[rows], a, f_g.data, w)[1]
+        t_norms[rows] = np.sqrt(np.einsum("imd,imd->im", t, t))
+        bad = t_norms[rows] < 1e-12
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            exc = DegenerateVectorError(int(j))
+            exc.image = rows.start + int(i)
+            raise exc
+        scores[rows] = np.einsum("imd,id->im", t, y[rows]) / t_norms[rows]
+        del t
+    out = _result(scores, (v_mr, f_r, f_g, *head))
+    if out.requires_grad:
+        def bw(ds):
+            # With c = dS / |T|: dy_i = sum_j c_ij T_ij and
+            # dT_ij = c_ij (y_i - S_ij T_ij / |T_ij|).  Z = (1 + g) A + b1
+            # is the first layer, so 1 + g collects <dZ_ij, A_j>, plus
+            # <dT_ij, f_g_j> through the nonlinear head's residual, and
+            # A_j and f_g_j collect (1 + g_ij) dZ_ij and (1 + g_ij) dT_ij.
+            c = ds / t_norms
+            ratio = scores / t_norms
+            dy, dscale = np.empty_like(y), np.zeros_like(scores)
+            da, df_g = np.zeros_like(a), np.zeros_like(a)
+            dw = [np.zeros_like(x) for x in w[1:]]  # b, or b1, w2, b2
+            for rows in blocks:
+                hidden, dt = _guided_block(gates[rows], a, f_g.data, w,
+                                           hidden=True)
+                scale = 1.0 + gates[rows]
+                dy[rows] = np.einsum("im,imd->id", c[rows], dt)
+                dt *= -ratio[rows][..., None]
+                dt += y[rows][:, None, :]
+                dt *= c[rows][..., None]
+                flat = dt.reshape(-1, d)
+                if hidden is None:
+                    dz = dt
+                else:
+                    dw[1] += hidden.reshape(-1, d).T @ flat
+                    dw[2] += flat.sum(axis=0)
+                    dscale[rows] += np.einsum("imd,md->im", dt, f_g.data)
+                    df_g += np.einsum("im,imd->md", scale, dt)
+                    alive = hidden > 0.0
+                    dz = hidden  # its buffer now takes dZ
+                    np.matmul(flat, w[2].T, out=dz.reshape(-1, d))
+                    dz *= alive
+                    del alive
+                dw[0] += dz.reshape(-1, d).sum(axis=0)
+                dscale[rows] += np.einsum("imd,md->im", dz, a)
+                da += np.einsum("im,imd->md", scale, dz)
+                del hidden, dt, dz, flat
+            dpre = dscale * gates * (1.0 - gates)
+            grads = [(f_r, dpre @ f_g.data), (head[0], f_g.data.T @ da),
+                     *zip(head[1:], dw)]
+            if f_g.requires_grad:
+                df_g += dpre.T @ f_r.data
+                df_g += da @ w[0].T
+                grads.append((f_g, df_g))
+            if v_mr.requires_grad:
+                grads.append((v_mr, (dy - np.einsum("nd,nd->n", dy, y)[:, None]
+                                     * y) / norms))
+            for t, grad in grads:
+                if t.requires_grad:
+                    _acc(t, grad, fresh=True)
+        out._bw = bw
+    return out
+
+
 # --------------------------------------------------------------- reductions
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -654,7 +838,7 @@ def mean_rows(x: Tensor) -> Tensor:
     out = _result(x.data.sum(axis=1) / m, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, np.broadcast_to((g / m)[:, None, :], x.data.shape))
+            _acc(x, np.repeat((g / m)[:, None, :], m, axis=1), fresh=True)
         out._bw = bw
     return out
 

@@ -107,6 +107,15 @@ def primitive_gradcheck(seed: int = 0) -> float:
     for reverse in (False, True):
         check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse,
                                          packing=packing))
+
+    # the final grid of 3 images against 2 captions, under both heads
+    guide = {name: Tensor(_rand(stream, n, 4), requires_grad=True)
+             for name, n in (("v_mr", 3), ("f_r", 3), ("f_g", 2))}
+    for shapes in ([(4, 4), (4,)], [(4, 4), (4,)] * 2):
+        head = [Tensor(_rand(stream, *shape), requires_grad=True)
+                for shape in shapes]
+        check({**guide, **{f"head{i}": t for i, t in enumerate(head)}},
+              lambda: ag.guided_scores(*guide.values(), head))
     return worst
 
 

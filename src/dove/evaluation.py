@@ -179,17 +179,8 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
     images, t_g = codes
     rows = [p for p, _ in pairs]
     cols = [c for _, c in pairs]
-    # every pair of one image takes its T_RG from one guidance call
-    by_image: dict[int, list[int]] = {}
-    for n, p in enumerate(rows):
-        by_image.setdefault(p, []).append(n)
-    t_rg = np.empty((len(pairs), model.cfg.d))
-    with no_grad():
-        for p, ns in by_image.items():
-            (block,) = model.guided_text_rows(
-                ag.take_rows(images.v_r, [p]),
-                ag.constant(t_g.data[[cols[n] for n in ns]]))
-            t_rg[ns] = block.data
+    t_rg = model.guided_pairs(ag.constant(images.v_r.data[rows]),
+                              ag.constant(t_g.data[cols]))
 
     image_ids = [image_indices[p] for p in rows]
     caption_ids = [caption_indices[c] for c in cols]

@@ -10,11 +10,12 @@ builds only the final one, with ``Model.final_scores``):
     S_global[i][j] = cos(V_M_i, T_G_j)
     S_final[i][j]  = cos(V_MR_i, T_RG(i, j))
 
-where T_RG(i, j) is the guidance output for that specific pair.
+where T_RG(i, j) is the guidance output for that specific pair.  The
+final grid is one graph node, ``autograd.guided_scores``, which never
+holds the N x M x d guided rows at once.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,42 +137,27 @@ class Model:
 
     # ------------------------------------------------------- pair scoring
 
-    def guided_text_rows(self, v_r: Tensor, t_g: Tensor) -> Iterator[Tensor]:
-        """T_RG rows of each (n, d) region code against the T_G rows ``t_g``.
-
-        Yields one (M, d) block per image, in order, so a caller holds one
-        image's block at a time.  Regions and text are each projected once.
-        With guidance ablated T_RG falls back to T_G, so every image gets
-        ``t_g`` itself.
-        """
-        n = v_r.data.shape[0]
-        if self.cfg.no_iga:
-            yield from [t_g] * n
-            return
-        f_r_rows = roam.iga_transform_regions(v_r, self.reg)
-        f_g_rows = roam.iga_transform_text(t_g, self.reg)
-        for i in range(n):
-            yield roam.iga_guide_rows(ag.take_rows(f_r_rows, [i]), f_g_rows,
-                                      self.reg, self.cfg.iga_head)
-
     def final_scores(self, images: ImageCodes, t_g: Tensor) -> Tensor:
-        """S_final between every image and every T_G row.
+        """S_final between every image and every T_G row, one graph node.
 
         The only code that turns codes into final scores: the training
-        loss and evaluation both call it.  Each score depends only on its
-        own pair, so a block of the grid equals the grid of that block.
-        A near-zero code raises ``DegenerateVectorError`` with ``image``
-        set to the row of the image whose block held it.
+        loss, validation and evaluation all call it.  Each score depends
+        only on its own pair, so a block of the grid equals the grid of
+        that block.  With guidance ablated T_RG is T_G.  A near-zero T_RG
+        raises ``DegenerateVectorError`` with ``row`` set to the caption's
+        column and ``image`` to the image's row.
         """
-        rows = []
-        for i, t_rg in enumerate(self.guided_text_rows(images.v_r, t_g)):
-            try:
-                rows.append(cosine_matrix(ag.take_rows(images.v_mr, [i]),
-                                          t_rg))
-            except ag.DegenerateVectorError as exc:
-                exc.image = i
-                raise
-        return ag.concat(*rows, axis=-2)
+        if self.cfg.no_iga:
+            return cosine_matrix(images.v_mr, t_g)
+        return roam.iga_scores(images.v_mr, images.v_r, t_g, self.reg,
+                               self.cfg.iga_head)
+
+    def guided_pairs(self, v_r: Tensor, t_g: Tensor) -> np.ndarray:
+        """T_RG of each row pair (v_r[k], t_g[k]) as ``final_scores``
+        guides it, values only (T_G itself with guidance ablated)."""
+        if self.cfg.no_iga:
+            return t_g.data
+        return roam.iga_pair_rows(v_r, t_g, self.reg, self.cfg.iga_head)
 
     def score_matrices(self, images: ImageCodes,
                        t_g: Tensor) -> tuple[Tensor, Tensor]:

@@ -16,6 +16,11 @@ affinity with the pooled region vector:
     u = gate * f_g + f_g
     T_RG = head(u)                (nonlinear head keeps a residual +u)
 
+``iga_scores`` scores every image against every caption by
+cos(V_MR, T_RG) as one ``autograd.guided_scores`` node, which guides
+each pair on its own; ``iga_pair_rows`` gives the T_RG rows of chosen
+pairs from the same block math, with no graph.
+
 Heads: "linear" is a single affine map; "nonlinear" is a two-layer map
 with interior rectifier plus a residual connection.  Both cross products
 inside fusion contract over an unordered row set.  They are plain
@@ -24,6 +29,8 @@ canonical order, which makes region- and scale-permutation invariance
 exact at the bit level.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
@@ -85,17 +92,22 @@ def iga_transform_text(e_g: Tensor, reg: ParamRegistry) -> Tensor:
     return ag.affine(e_g, reg["iga.w_g"], reg["iga.b_g"])
 
 
-def iga_guide_rows(f_r_row: Tensor, f_g_rows: Tensor, reg: ParamRegistry,
-                   head: str = "nonlinear") -> Tensor:
-    """Guided text embeddings of one image against many texts at once.
+def _guidance(v_r: Tensor, t_g: Tensor, reg: ParamRegistry, head: str):
+    """(f_r, f_g, head parameters) in ``autograd.guided_scores``' order."""
+    names = ("w", "b") if head == "linear" else ("w1", "b1", "w2", "b2")
+    return (iga_transform_regions(v_r, reg), iga_transform_text(t_g, reg),
+            [reg[f"iga.head.{n}"] for n in names])
 
-    ``f_r_row`` is the image's (1, d) guidance projection, ``f_g_rows``
-    the (n, d) text projections.  Row j is T_RG for pair (image, text_j),
-    and its gate reads only row j, so each pair is guided on its own.
-    """
-    if f_r_row.data.shape[0] != 1:
-        raise ag.DimensionError(
-            f"guidance takes one (1, d) region row, got {f_r_row.data.shape}")
-    gates = ag.sigmoid(ag.matmul(f_g_rows, ag.transpose(f_r_row)))  # (n, 1)
-    u = ag.mul(f_g_rows, ag.add(gates, 1.0))
-    return _head(u, reg, "iga.head", head)
+
+def iga_scores(v_mr: Tensor, v_r: Tensor, t_g: Tensor, reg: ParamRegistry,
+               head: str = "nonlinear") -> Tensor:
+    """(N, M) cos(V_MR_i, T_RG(i, j)) of N images' (N, d) fused and region
+    codes against M captions' (M, d) T_G rows."""
+    return ag.guided_scores(v_mr, *_guidance(v_r, t_g, reg, head))
+
+
+def iga_pair_rows(v_r: Tensor, t_g: Tensor, reg: ParamRegistry,
+                  head: str = "nonlinear") -> np.ndarray:
+    """T_RG of each row pair (v_r[k], t_g[k]), values only."""
+    with ag.no_grad():
+        return ag.guided_rows(*_guidance(v_r, t_g, reg, head))

@@ -41,8 +41,7 @@ from dove.model import Model
 from dove.objective import cosine_matrix, triplet_loss
 from dove.optimizer import adam_step, init_adam, lr_at
 from dove.params import ParamRegistry
-from dove.roam import (ifa_fuse, iga_guide_rows, iga_transform_regions,
-                       iga_transform_text, register_ifa_params,
+from dove.roam import (ifa_fuse, iga_pair_rows, register_ifa_params,
                        register_iga_params)
 from dove.synth import synth_dataset, write_dataset
 from dove.text_encoder import bigru, register_gru_params
@@ -127,10 +126,8 @@ def test_criterion_02_components_match_independent_oracles():
             reg = ParamRegistry(seed=seed)
             register_iga_params(reg, D, head)
             e_r, e_g = rng.uniform(-1, 1, (1, D)), rng.uniform(-1, 1, D)
-            got = iga_guide_rows(
-                iga_transform_regions(ag.constant(e_r), reg),
-                iga_transform_text(ag.constant(e_g[None, :]), reg),
-                reg, head).data[0]
+            got = iga_pair_rows(ag.constant(e_r), ag.constant(e_g[None, :]),
+                                reg, head)[0]
             assert np.allclose(got, oracles.iga(e_r[0], e_g, snapshot(reg),
                                                 head), atol=1e-12)
 

@@ -196,6 +196,27 @@ def test_distance_stats_single_pair(tiny_model, tiny_dataset):
         assert s["mean"] == s["median"]
 
 
+def test_distances_take_t_rg_from_the_scored_guidance(tiny_model,
+                                                      tiny_dataset):
+    # each positive pair's T_RG is the oracle's guided code of that pair
+    images = [3, 0]
+    caps = tiny_dataset.captions_of(images)
+    stats = embedding_distances(tiny_model, tiny_dataset, images, caps)
+    codes = encode_images(tiny_model, tiny_dataset, images)
+    t_g = encode_captions(tiny_model, tiny_dataset, caps).data
+    vals = {n: t.data for n, t in tiny_model.reg.tensors().items()}
+    gaps = []
+    for c, k in enumerate(caps):
+        i = images.index(tiny_dataset.captions[k].image_index)
+        v_mr = codes.v_mr.data[i]
+        t_rg = oracles.iga(codes.v_r.data[i], t_g[c], vals,
+                           tiny_model.cfg.iga_head)
+        gaps.append(np.linalg.norm(v_mr / np.linalg.norm(v_mr)
+                                   - t_rg / np.linalg.norm(t_rg)))
+    assert stats["v_mr__t_rg"]["n_pairs"] == len(caps)
+    assert abs(stats["v_mr__t_rg"]["mean"] - np.mean(gaps)) < 1e-12
+
+
 def test_distance_stats_need_positive_pairs(tiny_model, tiny_dataset):
     with pytest.raises(ValueError):
         embedding_distances(tiny_model, tiny_dataset, [0],
@@ -269,15 +290,14 @@ def test_degenerate_guided_caption_names_caption_and_image(
         tiny_model, tiny_dataset, monkeypatch):
     # zero the guidance output of the third caption: T_RG(image, caption)
     # is degenerate for every image, and the first image scored is named
-    from dove import roam
-    original = roam.iga_guide_rows
+    original = ag._guided_block
 
-    def zero_third_row(*args, **kwargs):
-        out = original(*args, **kwargs)
-        return ag.Tensor(np.where(np.arange(out.data.shape[0])[:, None] == 2,
-                                  0.0, out.data))
+    def zero_third_caption(*args, **kwargs):
+        hidden, t_rg = original(*args, **kwargs)
+        t_rg[:, 2] = 0.0
+        return hidden, t_rg
 
-    monkeypatch.setattr(roam, "iga_guide_rows", zero_third_row)
+    monkeypatch.setattr(ag, "_guided_block", zero_third_caption)
     images = [3, 1]
     captions = tiny_dataset.captions_of(images)
     with pytest.raises(DegenerateEmbeddingError,

@@ -1,14 +1,16 @@
 """Visual fusion and region-guided text transformation."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from dove import autograd as ag
+from dove.objective import cosine_matrix
 from dove.params import ParamRegistry
-from dove.roam import (fuse_visual, ifa_fuse, iga_guide_rows,
-                       iga_transform_regions, iga_transform_text,
+from dove.roam import (fuse_visual, ifa_fuse, iga_pair_rows, iga_scores,
                        register_ifa_params, register_iga_params)
 
 D = 8
@@ -32,9 +34,8 @@ def rows(seed, n, d=D):
 
 def guide(reg, e_r, texts, head):
     """T_RG rows of one pooled region vector against (n, D) text vectors."""
-    f_r_row = iga_transform_regions(ag.constant(e_r[None, :]), reg)
-    f_g_rows = iga_transform_text(ag.constant(texts), reg)
-    return iga_guide_rows(f_r_row, f_g_rows, reg, head)
+    regions = np.repeat(e_r[None, :], len(texts), axis=0)
+    return iga_pair_rows(ag.constant(regions), ag.constant(texts), reg, head)
 
 
 # ------------------------------------------------------------------- fusion
@@ -91,19 +92,24 @@ def test_iga_matches_oracle(seed, head):
     e_g = rows(seed + 70, 1)[0]
     got = guide(reg, e_r, e_g[None, :], head)
     assert got.shape == (1, D)
-    assert np.allclose(got.data[0], oracles.iga(e_r, e_g, vals, head),
+    assert np.allclose(got[0], oracles.iga(e_r, e_g, vals, head),
                        atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [D, 2])
 def test_iga_guide_rejects_matrices(d):
-    # guidance takes one pooled region vector per image, not a row set; at
-    # width 2 the (3, 2) gates of two region rows have the text rows' shape
+    # guidance takes one pooled region vector per image, not a row set:
+    # scores want one region row per fused row, and pair rows one to one;
+    # at width 2 the (3, 2) text rows have the gates' shape of 3 images
     reg, _ = iga_registry(0, "nonlinear", d)
-    f_r_rows = iga_transform_regions(ag.constant(rows(0, 2, d)), reg)
-    f_g_rows = iga_transform_text(ag.constant(rows(1, 3, d)), reg)
+    two, three = ag.constant(rows(0, 2, d)), ag.constant(rows(1, 3, d))
     with pytest.raises(ag.DimensionError):
-        iga_guide_rows(f_r_rows, f_g_rows, reg)
+        iga_pair_rows(two, three, reg)
+    with pytest.raises(ag.DimensionError):
+        iga_scores(three, two, three, reg)
+    with pytest.raises(ag.DimensionError):  # each image a (3, d) row set
+        iga_scores(two, ag.constant(rows(2, 6, d).reshape(2, 3, d)), three,
+                   reg)
 
 
 def test_batched_guidance_equals_per_pair_guidance():
@@ -113,7 +119,7 @@ def test_batched_guidance_equals_per_pair_guidance():
     batched = guide(reg, e_r, texts, "nonlinear")
     for j in range(5):
         single = oracles.iga(e_r, texts[j], vals, "nonlinear")
-        assert np.allclose(batched.data[j], single, atol=1e-12)
+        assert np.allclose(batched[j], single, atol=1e-12)
 
 
 def test_half_gate_construction():
@@ -122,10 +128,133 @@ def test_half_gate_construction():
     reg, vals = iga_registry(11, "nonlinear")
     reg["iga.w_r"].data = np.zeros((D, D))
     e_r, e_g = rows(110, 1)[0], rows(111, 1)[0]
-    got = guide(reg, e_r, e_g[None, :], "nonlinear").data[0]
+    got = guide(reg, e_r, e_g[None, :], "nonlinear")[0]
     f_g = e_g @ vals["iga.w_g"] + vals["iga.b_g"]
     want = oracles.head_map(1.5 * f_g[None, :], vals, "iga.head", "nonlinear")[0]
     assert np.allclose(got, want, atol=1e-12)
+
+
+# ------------------------------------------------------- the final-grid node
+
+def guidance_params(seed, head, d=D):
+    """A guidance registry with random biases as well as maps, and its
+    values."""
+    reg, _ = iga_registry(seed, head, d)
+    rng = np.random.default_rng(seed + 500)
+    for t in reg.tensors().values():
+        if t.data.ndim == 1:
+            t.data = rng.uniform(-0.5, 0.5, t.data.shape)
+    return reg, {n: t.data for n, t in reg.tensors().items()}
+
+
+def head_of(reg, head):
+    names = ("w", "b") if head == "linear" else ("w1", "b1", "w2", "b2")
+    return [reg[f"iga.head.{n}"] for n in names]
+
+
+def composed_grid(v_mr, f_r, f_g, head):
+    """The final grid built from primitives, one image at a time."""
+    scores = []
+    for i in range(v_mr.data.shape[0]):
+        gate = ag.sigmoid(ag.matmul(f_g, ag.transpose(ag.take_rows(f_r, [i]))))
+        u = ag.mul(f_g, ag.add(gate, 1.0))
+        t_rg = ag.affine(u, head[0], head[1])
+        if len(head) == 4:
+            t_rg = ag.add(ag.affine(ag.relu(t_rg), head[2], head[3]), u)
+        scores.append(cosine_matrix(ag.take_rows(v_mr, [i]), t_rg))
+    return ag.concat(*scores, axis=-2)
+
+
+def cos(a, b):
+    return float(a @ b / np.linalg.norm(a) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("head", ["linear", "nonlinear"])
+def test_guided_scores_match_oracle_cosines(head, m, monkeypatch):
+    # blocks of 3 images: 7 images take three blocks, the last one short
+    monkeypatch.setattr(ag, "GUIDED_BLOCK", 3 * m * D)
+    reg, vals = guidance_params(3, head)
+    v_mr, v_r, t_g = rows(30, 7), rows(31, 7), rows(32, m)
+    got = iga_scores(ag.constant(v_mr), ag.constant(v_r), ag.constant(t_g),
+                     reg, head)
+    assert got.data.shape == (7, m)
+    for i in range(7):
+        for j in range(m):
+            want = cos(v_mr[i], oracles.iga(v_r[i], t_g[j], vals, head))
+            assert abs(got.data[i, j] - want) < 1e-12
+
+
+@pytest.mark.parametrize("head", ["linear", "nonlinear"])
+def test_guided_scores_gradients_match_the_composed_ops(head, monkeypatch):
+    # the hand-written backward, over three blocks, against the gradients
+    # of the same grid built one image at a time from primitives
+    monkeypatch.setattr(ag, "GUIDED_BLOCK", 2 * 4 * D)
+    reg, _ = guidance_params(4, head)
+    leaves = [ag.Tensor(rows(40 + k, n), requires_grad=True)
+              for k, n in enumerate((5, 5, 4))]
+    params = leaves + head_of(reg, head)
+    weights = ag.constant(rows(44, 5, 4))
+    grads = []
+    for grid in (ag.guided_scores, composed_grid):
+        for t in params:
+            t.grad = None
+        scores = grid(*leaves, head_of(reg, head))
+        ag.reduce_sum(ag.mul(scores, weights)).backward()
+        grads.append((scores.data, [t.grad for t in params]))
+    (fused, fused_grads), (composed, composed_grads) = grads
+    assert np.allclose(fused, composed, rtol=0, atol=1e-12)
+    for got, want in zip(fused_grads, composed_grads):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_a_block_of_the_grid_is_the_grid_of_that_block():
+    reg, _ = guidance_params(5, "nonlinear")
+    v_mr, v_r, t_g = rows(50, 6), rows(51, 6), rows(52, 5)
+    grid = iga_scores(ag.constant(v_mr), ag.constant(v_r), ag.constant(t_g),
+                      reg).data
+    picked, texts = [4, 0, 5], [3, 1]
+    block = iga_scores(ag.constant(v_mr[picked]), ag.constant(v_r[picked]),
+                       ag.constant(t_g[texts]), reg).data
+    assert np.allclose(block, grid[np.ix_(picked, texts)], rtol=0, atol=1e-12)
+
+
+def test_guided_scores_keep_only_pair_arrays():
+    # the graph holds the (N, M) gates, norms and scores, A = f_g W1 and
+    # the unit image rows: nothing of N x M x d
+    n, m, d = 40, 60, 32
+    reg, _ = guidance_params(6, "nonlinear", d)
+    leaves = [ag.Tensor(rows(60 + k, size, d), requires_grad=True)
+              for k, size in enumerate((n, n, m))]
+    head = head_of(reg, "nonlinear")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scores = ag.guided_scores(*leaves, head)
+        graph = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert graph <= 1.1 * 8 * (3 * n * m + m * d + n * d)
+    ag.reduce_sum(scores).backward()
+    assert all(t.grad is not None for t in leaves + head)
+
+
+def test_degenerate_rows_name_their_image_and_caption():
+    # with W = I and b = 0, T_RG(i, j) = (1 + g_ij) f_g_j: a zero text row
+    # is a zero T_RG for every image, and the first image is named
+    w, b = ag.constant(np.eye(D)), ag.constant(np.zeros(D))
+    f_g = rows(70, 4)
+    f_g[2] = 0.0
+    v_mr, f_r = ag.constant(rows(71, 3)), ag.constant(rows(72, 3))
+    with pytest.raises(ag.DegenerateVectorError) as caught:
+        ag.guided_scores(v_mr, f_r, ag.constant(f_g), [w, b])
+    assert (caught.value.row, caught.value.image) == (2, 0)
+    blank = rows(73, 3)
+    blank[1] = 0.0
+    with pytest.raises(ag.DegenerateVectorError) as caught:
+        ag.guided_scores(ag.constant(blank), f_r, ag.constant(rows(70, 4)),
+                         [w, b])
+    assert (caught.value.row, caught.value.image) == (1, None)
 
 
 def test_pool_fixture():
