@@ -1,6 +1,6 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Tensors hold rank 1..3 arrays.  Ops record a closure graph; ``backward()``
+Tensors hold rank 1..2 arrays.  Ops record a closure graph; ``backward()``
 on a size-1 tensor accumulates gradients into every reachable tensor that
 has ``requires_grad``, and frees the graph as it walks it.  ``grad_check``
 is the verification oracle: every analytic rule is compared against
@@ -17,11 +17,11 @@ as a shape-() constant, builds no ``Tensor`` and gets no gradient.
 ``take_diag`` returns the diagonal as an (n, 1) column, so it broadcasts
 along rows as it is and along columns once transposed.
 
-Rank-3 tensors are batches of rank-2 blocks: ``matmul`` multiplies block
-by block, ``transpose`` swaps the last two axes, ``affine`` acts on the
-last axis, ``concat`` joins along either of the last two, and
-``mean_rows`` pools each block's rows.  All but ``mean_rows`` take a
-single rank-2 block too, and run the same code on it.
+Images travel as image-major rows: b images of m rows each are one
+(b·m, n) array, image 0's rows first.  Row-wise ops run on them as on
+any matrix, ``mean_rows`` pools each image's run of m rows, and
+``cross_rows`` relates each image's multiscale rows to its region rows
+as one node.
 
 Sequences of different lengths travel as packed rows: one (N, n) array
 of their real rows only, time-major and longest sequence first, laid out
@@ -56,7 +56,7 @@ __all__ = [
     "affine",
     "sigmoid", "relu", "mean_rows", "reduce_sum", "concat",
     "normalize_rows", "take_diag", "gru_scan", "gated_attention",
-    "guided_scores", "grad_check",
+    "cross_rows", "guided_scores", "grad_check",
 ]
 
 
@@ -103,7 +103,7 @@ def no_grad():
 
 
 class Tensor:
-    """Rank 1..3 float64 array with an optional gradient slot."""
+    """Rank 1..2 float64 array with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
 
@@ -111,8 +111,8 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if not 1 <= arr.ndim <= 3:
-            raise DimensionError(f"rank {arr.ndim} outside supported range 1..3")
+        if not 1 <= arr.ndim <= 2:
+            raise DimensionError(f"rank {arr.ndim} outside supported range 1..2")
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor constructed from non-finite data")
         self.data = arr
@@ -215,35 +215,33 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for rank-2 operands; rank-3 (n, p, q) @ (n, q, r) multiplies
-    block by block, the batched product."""
-    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim:
+    """a @ b for rank-2 operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(
-            f"matmul expects two rank-2 or two rank-3 operands, got "
+            f"matmul expects two rank-2 operands, got "
             f"{a.data.shape} x {b.data.shape}")
-    if (a.data.shape[:-2] != b.data.shape[:-2]
-            or a.data.shape[-1] != b.data.shape[-2]):
+    if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul extents differ: {a.data.shape} x {b.data.shape}")
     out = _result(a.data @ b.data, (a, b))
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, g @ _swap(b.data), fresh=True)
+                _acc(a, g @ b.data.T, fresh=True)
             if b.requires_grad:
-                _acc(b, _swap(a.data) @ g, fresh=True)
+                _acc(b, a.data.T @ g, fresh=True)
         out._bw = bw
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    """The last two axes swapped: a matrix, or each block of a batch."""
-    if a.data.ndim not in (2, 3):
-        raise DimensionError("transpose expects a rank-2 or rank-3 tensor")
-    out = _result(_swap(a.data).copy(), (a,))
+    """The transpose of a rank-2 tensor."""
+    if a.data.ndim != 2:
+        raise DimensionError("transpose expects a rank-2 tensor")
+    out = _result(a.data.T.copy(), (a,))
     if out.requires_grad:
         def bw(g):
-            _acc(a, _swap(g))
+            _acc(a, g.T)
         out._bw = bw
     return out
 
@@ -266,29 +264,22 @@ def take_rows(a: Tensor, index) -> Tensor:
     return out
 
 
-def concat(*parts: Tensor, axis: int) -> Tensor:
-    """Parts joined along ``axis``: -2 stacks rows, -1 sets columns side
-    by side.
+def concat(*parts: Tensor) -> Tensor:
+    """The rows of rank-2 parts of one width, stacked in order.
 
-    The parts share one rank, 2 or 3, and every extent but ``axis``.  One
-    node for any number of parts: joining n parts copies each once, where
-    chained pairwise joins copy O(n^2) rows.
+    One node for any number of parts: joining n parts copies each once,
+    where chained pairwise joins copy O(n^2) rows.
     """
     shapes = [p.data.shape for p in parts]
-    error = DimensionError(f"concat expects rank-2 or rank-3 parts that "
-                           f"differ only along axis -2 or -1, got {shapes} "
-                           f"along {axis}")
-    if axis not in (-2, -1) or any(len(s) not in (2, 3) for s in shapes):
-        raise error
-    try:  # NumPy rejects no parts, mixed ranks and other extents
-        data = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError:
-        raise error from None
-    out = _result(data, parts)
+    if (not parts or any(len(s) != 2 for s in shapes)
+            or any(s[1] != shapes[0][1] for s in shapes)):
+        raise DimensionError(f"concat expects rank-2 parts of one width, "
+                             f"got {shapes}")
+    out = _result(np.concatenate([p.data for p in parts]), parts)
     if out.requires_grad:
-        ends = np.cumsum([s[axis] for s in shapes])[:-1]
+        ends = np.cumsum([s[0] for s in shapes])[:-1]
         def bw(g):
-            for p, gp in zip(parts, np.split(g, ends, axis=axis)):
+            for p, gp in zip(parts, np.split(g, ends)):
                 if p.requires_grad:
                     _acc(p, gp)
         out._bw = bw
@@ -427,27 +418,23 @@ AFFINE_ROWS = 128
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b, the fused workhorse behind every learned projection.
 
-    ``x`` is (m, k) or a batch (b, m, k); every row of it goes through one
-    product, so ``w``'s gradient is one product too.  With a square ``w``
+    Every row of the (m, k) ``x`` goes through one product, so ``w``'s
+    gradient is one product too.  With a square ``w``
     the backward writes the input gradient over the upstream gradient,
     ``AFFINE_ROWS`` rows at a time, so it needs no second buffer of that
     size.
     """
-    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or b.data.ndim != 1:
-        raise DimensionError(
-            "affine expects x:(m,k) or (b,m,k), w:(k,n), b:(n,)")
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise DimensionError("affine expects x:(m,k), w:(k,n), b:(n,)")
     k, n = w.data.shape
-    if x.data.shape[-1] != k or b.data.shape[0] != n:
+    if x.data.shape[1] != k or b.data.shape[0] != n:
         raise DimensionError(
             f"affine extents differ: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    rows = x.data.reshape(-1, k)
-    out = _result((rows @ w.data + b.data[None, :])
-                  .reshape(x.data.shape[:-1] + (n,)), (x, w, b))
+    out = _result(x.data @ w.data + b.data[None, :], (x, w, b))
     if out.requires_grad:
         def bw(g):
-            g = g.reshape(-1, n)
             if w.requires_grad:
-                _acc(w, rows.T @ g, fresh=True)
+                _acc(w, x.data.T @ g, fresh=True)
             if b.requires_grad:
                 _acc(b, g.sum(axis=0), fresh=True)
             if not x.requires_grad:
@@ -457,7 +444,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                     g[lo:lo + AFFINE_ROWS] = g[lo:lo + AFFINE_ROWS] @ w.data.T
             else:
                 g = g @ w.data.T
-            _acc(x, g.reshape(x.data.shape), fresh=True)
+            _acc(x, g, fresh=True)
         out._bw = bw
     return out
 
@@ -668,6 +655,47 @@ def gated_attention(x: Tensor, packing: Packing, heads: list) -> Tensor:
     return out
 
 
+# ------------------------------------------------------------------- fusion
+
+def cross_rows(f_m: Tensor, f_r: Tensor, images: int) -> Tensor:
+    """Each image's multiscale rows against its region rows, one node.
+
+    ``f_m`` (images·n_m, d) and ``f_r`` (images·n_r, d) are image-major
+    rows.  Per image, with F_M and F_R its rows, S = sigmoid(F_M F_R^T)
+    and the output is its n_m + n_r rows [S F_R + F_M ; S^T F_M + F_R].
+    The node keeps only S.  With G_m and G_r the upstream rows of the
+    two halves, dP = (G_m F_R^T + F_M G_r^T) S (1 - S) and
+
+        dF_M = G_m + S G_r + dP F_R        dF_R = G_r + S^T G_m + dP^T F_M
+    """
+    shapes = (f_m.data.shape, f_r.data.shape)
+    if (images < 1 or any(len(s) != 2 or not s[0] or s[0] % images
+                          for s in shapes) or shapes[0][1] != shapes[1][1]):
+        raise DimensionError(f"cross_rows expects image-major rows of "
+                             f"{images} images, got {shapes}")
+    d, n_m = shapes[0][1], shapes[0][0] // images
+    fm, fr = (t.data.reshape(images, -1, d) for t in (f_m, f_r))
+    # contiguous transposes, as ``transpose`` makes: a product's last
+    # bits can depend on its operands' layout
+    s = _sigmoid_values(fm @ _swap(fr).copy())
+    rows = np.concatenate([fm, fr], axis=1)
+    rows[:, :n_m] += s @ fr
+    rows[:, n_m:] += _swap(s).copy() @ fm
+    out = _result(rows.reshape(-1, d), (f_m, f_r))
+    if out.requires_grad:
+        def bw(g):
+            g = g.reshape(images, -1, d)
+            g_m, g_r = g[:, :n_m], g[:, n_m:]
+            dp = (g_m @ _swap(fr) + fm @ _swap(g_r)) * (s * (1.0 - s))
+            if f_m.requires_grad:
+                _acc(f_m, (g_m + s @ g_r + dp @ fr).reshape(-1, d), fresh=True)
+            if f_r.requires_grad:
+                _acc(f_r, (g_r + _swap(s) @ g_m + _swap(dp) @ fm)
+                     .reshape(-1, d), fresh=True)
+        out._bw = bw
+    return out
+
+
 # ----------------------------------------------------------------- guidance
 
 # elements (1 MB) of one block of guided_scores' (images, M, d) guided
@@ -830,15 +858,16 @@ def guided_scores(v_mr: Tensor, f_r: Tensor, f_g: Tensor, head) -> Tensor:
 
 # --------------------------------------------------------------- reductions
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean of the rows of each block of a batch, (b, m, n) -> (b, n)."""
-    if x.data.ndim != 3:
-        raise DimensionError("mean_rows expects a rank-3 tensor")
-    m = x.data.shape[1]
-    out = _result(x.data.sum(axis=1) / m, (x,))
+def mean_rows(x: Tensor, m: int) -> Tensor:
+    """Mean of each run of ``m`` rows, (b·m, n) -> (b, n)."""
+    if x.data.ndim != 2 or m < 1 or x.data.shape[0] % m or not x.data.size:
+        raise DimensionError(f"mean_rows expects runs of {m} rows, got "
+                             f"{x.data.shape}")
+    n = x.data.shape[1]
+    out = _result(x.data.reshape(-1, m, n).sum(axis=1) / m, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, np.repeat((g / m)[:, None, :], m, axis=1), fresh=True)
+            _acc(x, np.repeat(g / m, m, axis=0), fresh=True)
         out._bw = bw
     return out
 

@@ -88,23 +88,26 @@ class Model:
         per-image arrays, such as views into the feature banks.  Each
         image's rows are an unordered set: they enter the graph sorted by
         their bytes, so every order of them yields the same codes, bit for
-        bit.  Images are encoded in chunks of ``CHUNK``, each one
-        (b, rows, width) batch through projection and fusion; an image's
-        code does not depend on its chunk-mates.
+        bit.  Images are encoded in chunks of ``CHUNK``, each one as
+        image-major 2-D rows through projection and fusion; images of
+        unequal row counts raise.  An image's code does not depend on its
+        chunk-mates.
         """
         pairs = list(zip(msv, roi, strict=True))
         codes = ([], [], [])
         for start in range(0, len(pairs), CHUNK):
             chunk = pairs[start:start + CHUNK]
+            m_v = np.stack([_canonical(m) for m, _ in chunk])
+            r_v = np.stack([_canonical(r) for _, r in chunk])
             f_m = ve.msv_project(ag.constant(
-                np.stack([_canonical(m) for m, _ in chunk])), self.reg)
+                m_v.reshape(-1, m_v.shape[2])), self.reg)
             f_r = ve.roi_project(ag.constant(
-                np.stack([_canonical(r) for _, r in chunk])), self.reg)
-            f_mr = roam.fuse_visual(f_m, f_r, self.reg, self.cfg.ifa_head,
-                                    disabled=self.cfg.no_ifa)
+                r_v.reshape(-1, r_v.shape[2])), self.reg)
+            f_mr = roam.fuse_visual(f_m, f_r, self.reg, len(chunk),
+                                    self.cfg.ifa_head, disabled=self.cfg.no_ifa)
             for rows, f in zip(codes, (f_m, f_r, f_mr)):
-                rows.append(ag.mean_rows(f))
-        return ImageCodes(*(ag.concat(*rows, axis=-2) for rows in codes))
+                rows.append(ag.mean_rows(f, f.shape[0] // len(chunk)))
+        return ImageCodes(*(ag.concat(*rows) for rows in codes))
 
     def encode_captions(self, token_lists: list[list[int]]) -> Tensor:
         """(n, d) T_G rows, one per caption, in the order given.
@@ -133,7 +136,7 @@ class Model:
                                    disabled=self.cfg.no_dtga, packing=packing)
             chunks.append(ag.matmul(ag.constant(packing.averaging), f_g))
         # the inverse permutation puts caption j's code in row j
-        return ag.take_rows(ag.concat(*chunks, axis=-2), np.argsort(order))
+        return ag.take_rows(ag.concat(*chunks), np.argsort(order))
 
     # ------------------------------------------------------- pair scoring
 

@@ -1,12 +1,15 @@
 """Region-oriented attention: visual fusion and visual-guided text.
 
-Fusion relates each image's multiscale rows to its region rows, over a
-batch of b images: F_M (b, n_m, d) and F_R (b, n_r, d), block by block:
+Fusion relates each image's multiscale rows to its region rows.  The
+rows of b images arrive image-major, (b·n_m, d) and (b·n_r, d), and per
+image, with F_M and F_R its rows,
 
     F_M' = F_M W_m + b_m          F_R' = F_R W_r + b_r
-    S    = sigmoid(F_M' F_R'^T)                       -- (b, n_m, n_r)
-    rows = [S F_R' + F_M' ; S^T F_M' + F_R']          -- (b, n_m + n_r, d)
+    S    = sigmoid(F_M' F_R'^T)                       -- (n_m, n_r)
+    rows = [S F_R' + F_M' ; S^T F_M' + F_R']          -- (n_m + n_r, d)
     F_MR = head(rows)
+
+with S and rows made by one ``autograd.cross_rows`` node for all b.
 
 Guidance (per image-text pair) gates a pooled text vector by its scalar
 affinity with the pooled region vector:
@@ -63,24 +66,24 @@ def _head(x: Tensor, reg: ParamRegistry, prefix: str, head: str) -> Tensor:
     return ag.add(two_layer(x, reg, prefix), x)
 
 
-def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry,
+def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry, images: int,
              head: str = "linear") -> Tensor:
-    """Fused visual rows, shape (b, n_m + n_r, d)."""
+    """Fused rows of ``images`` images, (images·(n_m + n_r), d)."""
     fm = ag.affine(f_m, reg["ifa.w_m"], reg["ifa.b_m"])
     fr = ag.affine(f_r, reg["ifa.w_r"], reg["ifa.b_r"])
-    rel = ag.sigmoid(ag.matmul(fm, ag.transpose(fr)))
-    region_to_scale = ag.add(ag.matmul(rel, fr), fm)
-    scale_to_region = ag.add(ag.matmul(ag.transpose(rel), fm), fr)
-    rows = ag.concat(region_to_scale, scale_to_region, axis=-2)
-    return _head(rows, reg, "ifa.head", head)
+    return _head(ag.cross_rows(fm, fr, images), reg, "ifa.head", head)
 
 
-def fuse_visual(f_m: Tensor, f_r: Tensor, reg: ParamRegistry,
+def fuse_visual(f_m: Tensor, f_r: Tensor, reg: ParamRegistry, images: int,
                 head: str = "linear", disabled: bool = False) -> Tensor:
-    """Fused rows, or the plain row concatenation when fusion is off."""
-    if disabled:
-        return ag.concat(f_m, f_r, axis=-2)
-    return ifa_fuse(f_m, f_r, reg, head)
+    """Fused rows, or each image's rows joined when fusion is off: its
+    n_m multiscale rows, then its n_r region rows."""
+    if not disabled:
+        return ifa_fuse(f_m, f_r, reg, images, head)
+    k, n = f_m.shape[0], f_m.shape[0] + f_r.shape[0]
+    by_image = np.hstack([np.arange(k).reshape(images, -1),
+                          np.arange(k, n).reshape(images, -1)])
+    return ag.take_rows(ag.concat(f_m, f_r), by_image.reshape(-1))
 
 
 def iga_transform_regions(e_r: Tensor, reg: ParamRegistry) -> Tensor:

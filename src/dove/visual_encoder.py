@@ -2,7 +2,8 @@
 
 Multiscale rows pass through a residual two-layer map (with an affine
 adapter first when the bank width differs from d); region rows get a
-single affine projection from their native width.
+single affine projection from their native width.  Both act row by
+row, on the image-major rows of a whole chunk of images at once.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ def register_visual_params(reg: ParamRegistry, d: int, d_in: int, d_r: int):
 
 
 def msv_project(m_v: Tensor, reg: ParamRegistry) -> Tensor:
-    """(b, n_m, d_in) -> (b, n_m, d): residual MLP over (adapted) multiscale
+    """(rows, d_in) -> (rows, d): residual MLP over (adapted) multiscale
     rows."""
     x = m_v
     if "visual.msv.adapter.w" in reg:
@@ -30,5 +31,5 @@ def msv_project(m_v: Tensor, reg: ParamRegistry) -> Tensor:
 
 
 def roi_project(r_v: Tensor, reg: ParamRegistry) -> Tensor:
-    """(b, n_r, d_r) -> (b, n_r, d): affine lift of region rows."""
+    """(rows, d_r) -> (rows, d): affine lift of region rows."""
     return ag.affine(r_v, reg["visual.roi.w"], reg["visual.roi.b"])

@@ -119,7 +119,8 @@ def test_criterion_02_components_match_independent_oracles():
             reg = ParamRegistry(seed=seed)
             register_ifa_params(reg, D, head)
             f_m, f_r = rng.uniform(-1, 1, (2, D)), rng.uniform(-1, 1, (3, D))
-            got = ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, head).data
+            got = ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, 1,
+                           head).data
             assert np.allclose(got, oracles.ifa(f_m, f_r, snapshot(reg), head),
                                atol=1e-12)
 

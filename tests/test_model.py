@@ -68,6 +68,17 @@ def test_stacked_image_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
         tiny_model.encode_images(msv[:2], roi[:1])
 
 
+def test_images_with_unequal_row_counts_raise(tiny_model, tiny_dataset):
+    # a chunk travels as image-major rows, so 3 + 5 region rows must not
+    # be read as two images of 4
+    msv, roi = _random_images(5, 2, tiny_dataset)
+    regions = np.random.default_rng(6).uniform(-1, 1, (8, roi.shape[2]))
+    with pytest.raises(ValueError):
+        tiny_model.encode_images(list(msv), [regions[:3], regions[3:]])
+    with pytest.raises(ValueError):
+        tiny_model.encode_images([msv[0], msv[1, :-1]], list(roi))
+
+
 def _graph_nodes(*roots):
     seen, stack = {id(r) for r in roots}, list(roots)
     while stack:
@@ -181,8 +192,10 @@ def test_caption_code_is_the_mean_of_its_real_word_features(
 
 
 def test_backward_frees_the_graph_as_it_walks():
-    # with every node's gradient, closure and parents kept to the end,
-    # the backward peaked at 2.4x the forward graph on this batch
+    # the backward must return the parameter gradients (2.1 MB here), so
+    # the bound is on what it holds beyond them.  Freeing as it walks, it
+    # holds 0.08 of the forward graph; a backward that frees nothing
+    # holds 1.7 of it
     from dove.batching import Batch
     from dove.config import TrainConfig
     from dove.model import Model
@@ -206,7 +219,8 @@ def test_backward_frees_the_graph_as_it_walks():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * graph
+    params = sum(t.data.nbytes for t in model.reg.tensors().values())
+    assert peak - params <= 0.2 * graph
     assert all(t.grad is not None for t in model.reg.tensors().values())
 
 

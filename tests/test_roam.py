@@ -45,17 +45,64 @@ def guide(reg, e_r, texts, head):
 def test_ifa_matches_oracle(seed, head):
     reg, vals = ifa_registry(seed, head)
     f_m, f_r = rows(seed + 10, 3), rows(seed + 20, 5)
-    got = ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, head)
+    got = ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, 1, head)
     assert got.shape == (8, D)
     assert np.allclose(got.data, oracles.ifa(f_m, f_r, vals, head), atol=1e-12)
 
 
+@pytest.mark.parametrize("head", ["linear", "nonlinear"])
+def test_ifa_matches_oracle_per_image_of_a_chunk(head):
+    # 4 images of 3 scale and 5 region rows, image-major
+    reg, vals = ifa_registry(7, head)
+    f_m, f_r = rows(30, 12), rows(31, 20)
+    got = ifa_fuse(ag.constant(f_m), ag.constant(f_r), reg, 4, head)
+    assert got.shape == (32, D)
+    for i in range(4):
+        want = oracles.ifa(f_m[3 * i:3 * i + 3], f_r[5 * i:5 * i + 5], vals,
+                           head)
+        assert np.allclose(got.data[8 * i:8 * i + 8], want, atol=1e-12)
+
+
 def test_fuse_disabled_is_row_concatenation():
+    # per image: its multiscale rows, then its region rows
     reg, _ = ifa_registry(0, "linear")
-    f_m, f_r = rows(1, 2), rows(2, 3)
-    got = fuse_visual(ag.constant(f_m), ag.constant(f_r), reg, "linear",
+    f_m, f_r = rows(1, 6), rows(2, 9)
+    got = fuse_visual(ag.constant(f_m), ag.constant(f_r), reg, 3, "linear",
                       disabled=True)
-    assert np.array_equal(got.data, np.concatenate([f_m, f_r], axis=0))
+    want = np.concatenate([np.concatenate([f_m[2 * i:2 * i + 2],
+                                           f_r[3 * i:3 * i + 3]])
+                           for i in range(3)])
+    assert np.array_equal(got.data, want)
+
+
+def test_cross_rows_keeps_only_the_relation_grid():
+    # the per-op chain also kept the transposes, both relation products,
+    # their sums with the inputs and the joined rows
+    images, n_m, n_r, d = 8, 4, 36, 64
+    f_m = ag.Tensor(rows(40, images * n_m, d), requires_grad=True)
+    f_r = ag.Tensor(rows(41, images * n_r, d), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ag.cross_rows(f_m, f_r, images)
+        graph = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    kept = 8 * (images * n_m * n_r + out.data.size)
+    assert graph <= 1.1 * kept
+
+
+@pytest.mark.parametrize("m_shape, r_shape, images", [
+    ((6, D), (9, D), 2),        # 9 region rows are not 2 images' worth
+    ((6, D), (9, D), 0),        # no images
+    ((6, D), (9, 4), 3),        # widths differ
+    ((0, D), (9, D), 3),        # no multiscale rows
+    ((6,), (9, D), 3),          # rank-1 rows
+])
+def test_cross_rows_rejects_mismatched_shapes(m_shape, r_shape, images):
+    with pytest.raises(ag.DimensionError):
+        ag.cross_rows(ag.constant(np.zeros(m_shape)),
+                      ag.constant(np.zeros(r_shape)), images)
 
 
 @pytest.mark.parametrize("permuted", ["msv", "roi", "both"])
@@ -107,9 +154,8 @@ def test_iga_guide_rejects_matrices(d):
         iga_pair_rows(two, three, reg)
     with pytest.raises(ag.DimensionError):
         iga_scores(three, two, three, reg)
-    with pytest.raises(ag.DimensionError):  # each image a (3, d) row set
-        iga_scores(two, ag.constant(rows(2, 6, d).reshape(2, 3, d)), three,
-                   reg)
+    with pytest.raises(ag.DimensionError):  # each image a run of 3 rows
+        iga_scores(two, ag.constant(rows(2, 6, d)), three, reg)
 
 
 def test_batched_guidance_equals_per_pair_guidance():
@@ -162,7 +208,7 @@ def composed_grid(v_mr, f_r, f_g, head):
         if len(head) == 4:
             t_rg = ag.add(ag.affine(ag.relu(t_rg), head[2], head[3]), u)
         scores.append(cosine_matrix(ag.take_rows(v_mr, [i]), t_rg))
-    return ag.concat(*scores, axis=-2)
+    return ag.concat(*scores)
 
 
 def cos(a, b):
@@ -258,5 +304,5 @@ def test_degenerate_rows_name_their_image_and_caption():
 
 
 def test_pool_fixture():
-    got = ag.mean_rows(ag.constant([[[0.0, 2.0], [2.0, 0.0]]]))
+    got = ag.mean_rows(ag.constant([[0.0, 2.0], [2.0, 0.0]]), 2)
     assert np.array_equal(got.data, [[1.0, 1.0]])
