@@ -140,8 +140,9 @@ class Tensor:
         gradient on, it drops that gradient, its closure and its parents,
         so the forward graph's memory is released during the walk.  The
         root keeps its gradient and leaves keep theirs.  Each rule gets a
-        gradient that nothing else holds, and may write over it.  A later
-        backward through a consumed node raises ``GraphConsumedError``.
+        gradient that nothing else holds, because each rule gives every
+        buffer to at most one tensor (see ``_acc``).  A later backward
+        through a consumed node raises ``GraphConsumedError``.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a size-1 tensor")
@@ -194,16 +195,16 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def _acc(t: Tensor, g: np.ndarray, fresh: bool = False):
-    """Add ``g`` into ``t.grad``.
+def _acc(t: Tensor, g: np.ndarray):
+    """Store a first gradient ``g`` as ``t.grad``; add later ones into it.
 
-    A first gradient is stored as is when ``fresh``: a new array that
-    nothing else holds, such as a product.  Otherwise it is copied, since
-    ``g`` may be the upstream gradient itself or a view of it that another
-    operand also receives.
+    The one rule of gradient hand-off: a backward rule gives each buffer
+    it makes or receives, or a part of one, to at most one tensor, which
+    then owns it.  Only ``add`` can owe one buffer to two operands, and
+    it copies.
     """
     if t.grad is None:
-        t.grad = g if fresh else np.array(g)
+        t.grad = g
     else:
         t.grad += g
 
@@ -227,9 +228,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, g @ b.data.T, fresh=True)
+                _acc(a, g @ b.data.T)
             if b.requires_grad:
-                _acc(b, a.data.T @ g, fresh=True)
+                _acc(b, a.data.T @ g)
         out._bw = bw
     return out
 
@@ -259,7 +260,7 @@ def take_rows(a: Tensor, index) -> Tensor:
         def bw(g):
             full = np.zeros_like(a.data)
             np.add.at(full, index, g)
-            _acc(a, full, fresh=True)
+            _acc(a, full)
         out._bw = bw
     return out
 
@@ -295,7 +296,7 @@ def take_diag(s: Tensor) -> Tensor:
         def bw(g):
             full = np.zeros_like(s.data)
             np.fill_diagonal(full, g[:, 0])
-            _acc(s, full, fresh=True)
+            _acc(s, full)
         out._bw = bw
     return out
 
@@ -389,10 +390,13 @@ def add(a: Tensor, b: Tensor | float) -> Tensor:
     out = _result(a.data + b_data, parents)
     if out.requires_grad:
         def bw(g):
-            for t in parents:
-                if t.requires_grad:
-                    gt = _sum_to(g, t.data.shape)
-                    _acc(t, gt, fresh=gt is not g)
+            g_a = None
+            if a.requires_grad:
+                g_a = _sum_to(g, a.data.shape)
+                _acc(a, g_a)
+            if len(parents) == 2 and b.requires_grad:
+                g_b = _sum_to(g, b.data.shape)
+                _acc(b, g_b.copy() if g_b is g_a else g_b)  # one owner each
         out._bw = bw
     return out
 
@@ -403,26 +407,18 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, _sum_to(g * b_data, a.data.shape), fresh=True)
+                _acc(a, _sum_to(g * b_data, a.data.shape))
             if len(parents) == 2 and b.requires_grad:
-                _acc(b, _sum_to(g * a.data, b.data.shape), fresh=True)
+                _acc(b, _sum_to(g * a.data, b.data.shape))
         out._bw = bw
     return out
-
-
-# rows per product when ``affine``'s backward writes the input gradient
-# over the upstream one
-AFFINE_ROWS = 128
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b, the fused workhorse behind every learned projection.
 
     Every row of the (m, k) ``x`` goes through one product, so ``w``'s
-    gradient is one product too.  With a square ``w``
-    the backward writes the input gradient over the upstream gradient,
-    ``AFFINE_ROWS`` rows at a time, so it needs no second buffer of that
-    size.
+    gradient is one product too.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise DimensionError("affine expects x:(m,k), w:(k,n), b:(n,)")
@@ -434,17 +430,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if w.requires_grad:
-                _acc(w, x.data.T @ g, fresh=True)
+                _acc(w, x.data.T @ g)
             if b.requires_grad:
-                _acc(b, g.sum(axis=0), fresh=True)
-            if not x.requires_grad:
-                return
-            if k == n:  # the input gradient takes g's own buffer
-                for lo in range(0, g.shape[0], AFFINE_ROWS):
-                    g[lo:lo + AFFINE_ROWS] = g[lo:lo + AFFINE_ROWS] @ w.data.T
-            else:
-                g = g @ w.data.T
-            _acc(x, g, fresh=True)
+                _acc(b, g.sum(axis=0))
+            if x.requires_grad:
+                _acc(x, g @ w.data.T)
         out._bw = bw
     return out
 
@@ -463,7 +453,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, g * y * (1.0 - y), fresh=True)
+            _acc(x, g * y * (1.0 - y))
         out._bw = bw
     return out
 
@@ -473,9 +463,15 @@ def relu(x: Tensor) -> Tensor:
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, g * (x.data > 0.0), fresh=True)
+            _acc(x, g * (x.data > 0.0))
         out._bw = bw
     return out
+
+
+def _near_zero(norms: np.ndarray) -> np.ndarray:
+    """Where ``norms`` are too small to divide by: the engine's one test
+    for a near-zero vector."""
+    return norms < 1e-12
 
 
 def normalize_rows(x: Tensor) -> Tensor:
@@ -483,7 +479,7 @@ def normalize_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("normalize_rows expects a rank-2 tensor")
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
-    bad = norms[:, 0] < 1e-12  # the engine's one test for a near-zero vector
+    bad = _near_zero(norms[:, 0])
     if bad.any():
         raise DegenerateVectorError(int(np.argmax(bad)))
     y = x.data / norms
@@ -491,7 +487,7 @@ def normalize_rows(x: Tensor) -> Tensor:
     if out.requires_grad:
         def bw(g):
             inner = (g * y).sum(axis=1, keepdims=True)
-            _acc(x, (g - inner * y) / norms, fresh=True)
+            _acc(x, (g - inner * y) / norms)
         out._bw = bw
     return out
 
@@ -578,11 +574,11 @@ def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
                              + da_r[lo:hi] @ ur_t + dq * rs[lo:hi])
             for x, da in zip(xs, (da_z, da_r, da_h)):
                 if x.requires_grad:
-                    _acc(x, da, fresh=True)
+                    _acc(x, da)
             for u, inp, da in ((u_z, h_prev, da_z), (u_r, h_prev, da_r),
                                (u_h, rs * h_prev, da_h)):
                 if u.requires_grad:
-                    _acc(u, inp.T @ da, fresh=True)
+                    _acc(u, inp.T @ da)
         out._bw = bw
     return out
 
@@ -644,7 +640,7 @@ def gated_attention(x: Tensor, packing: Packing, heads: list) -> Tensor:
                 grads += [(h[6], (q * k).T @ da), (h[7], da.sum(axis=0))]
             if x.requires_grad:
                 w = np.concatenate([t.data for t in maps], axis=1)
-                _acc(x, dqkv @ w.T, fresh=True)
+                _acc(x, dqkv @ w.T)
             dw, db = x.data.T @ dqkv, dqkv.sum(axis=0)
             grads += zip(maps + biases, [dw[:, c] for c in cols]
                          + [db[c] for c in cols])
@@ -688,10 +684,10 @@ def cross_rows(f_m: Tensor, f_r: Tensor, images: int) -> Tensor:
             g_m, g_r = g[:, :n_m], g[:, n_m:]
             dp = (g_m @ _swap(fr) + fm @ _swap(g_r)) * (s * (1.0 - s))
             if f_m.requires_grad:
-                _acc(f_m, (g_m + s @ g_r + dp @ fr).reshape(-1, d), fresh=True)
+                _acc(f_m, (g_m + s @ g_r + dp @ fr).reshape(-1, d))
             if f_r.requires_grad:
                 _acc(f_r, (g_r + _swap(s) @ g_m + _swap(dp) @ fm)
-                     .reshape(-1, d), fresh=True)
+                     .reshape(-1, d))
         out._bw = bw
     return out
 
@@ -781,7 +777,7 @@ def guided_scores(v_mr: Tensor, f_r: Tensor, f_g: Tensor, head) -> Tensor:
         raise DimensionError(f"guided_scores expects ({n}, {d}) image rows, "
                              f"got {v_mr.data.shape}")
     norms = np.sqrt(np.einsum("nd,nd->n", v_mr.data, v_mr.data))[:, None]
-    bad = norms[:, 0] < 1e-12
+    bad = _near_zero(norms[:, 0])
     if bad.any():
         raise DegenerateVectorError(int(np.argmax(bad)))
     y = v_mr.data / norms
@@ -793,7 +789,7 @@ def guided_scores(v_mr: Tensor, f_r: Tensor, f_g: Tensor, head) -> Tensor:
     for rows in blocks:
         t = _guided_block(gates[rows], a, f_g.data, w)[1]
         t_norms[rows] = np.sqrt(np.einsum("imd,imd->im", t, t))
-        bad = t_norms[rows] < 1e-12
+        bad = _near_zero(t_norms[rows])
         if bad.any():
             i, j = np.argwhere(bad)[0]
             exc = DegenerateVectorError(int(j))
@@ -851,7 +847,7 @@ def guided_scores(v_mr: Tensor, f_r: Tensor, f_g: Tensor, head) -> Tensor:
                                      * y) / norms))
             for t, grad in grads:
                 if t.requires_grad:
-                    _acc(t, grad, fresh=True)
+                    _acc(t, grad)
         out._bw = bw
     return out
 
@@ -867,7 +863,7 @@ def mean_rows(x: Tensor, m: int) -> Tensor:
     out = _result(x.data.reshape(-1, m, n).sum(axis=1) / m, (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, np.repeat(g / m, m, axis=0), fresh=True)
+            _acc(x, np.repeat(g / m, m, axis=0))
         out._bw = bw
     return out
 
@@ -877,7 +873,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     out = _result(np.array([x.data.sum()]), (x,))
     if out.requires_grad:
         def bw(g):
-            _acc(x, np.full_like(x.data, g[0]), fresh=True)
+            _acc(x, np.full_like(x.data, g[0]))
         out._bw = bw
     return out
 

@@ -51,6 +51,9 @@ def primitive_gradcheck(seed: int = 0) -> float:
     check({"x": x}, lambda: ag.mul(x, -1.7))
     check({"x": x}, lambda: ag.add(x, 0.3))
     check({"x": x, "y": y}, lambda: ag.concat(x, y, x))
+    # x and y take gradients from the inner add and from mul: a buffer
+    # that add gave to both would collect mul's gradients twice
+    check({"x": x, "y": y}, lambda: ag.add(ag.add(x, y), ag.mul(x, y)))
 
     # broadcast operands: a row (4,) and a column (3, 1) against (3, 4)
     row = Tensor(_rand(stream, 4), requires_grad=True)

@@ -161,7 +161,7 @@ def test_number_operand_matches_numpy(op, np_op, c, shape):
 @pytest.mark.parametrize("c", NUMBERS)
 @pytest.mark.parametrize("shape", NUMBER_SHAPES)
 def test_number_operand_gets_no_gradient(c, shape):
-    # the tensor's gradient is g * c for mul and a copy of g for add, what
+    # the tensor's gradient is g * c for mul and g for add, what
     # the scalar ops they replace gave it; the number is not in the graph
     g = np.random.default_rng(10).uniform(-1, 1, shape)
     for op, expected in ((ag.mul, g * c), (ag.add, g)):
@@ -401,3 +401,19 @@ def test_gradients_accumulate_across_uses():
     # w used twice: d(w*w + w*w)/dw = 4w = 8
     ag.add(ag.mul(w, w), ag.mul(w, w)).backward()
     assert abs(w.grad[0] - 8.0) < 1e-12
+
+
+def test_add_gives_each_operand_a_buffer_of_its_own():
+    # one buffer, one owner: a same-shaped second operand gets a copy, so
+    # accumulating into one gradient leaves the other as it was
+    rng = np.random.default_rng(11)
+    x, y = (_param(rng.uniform(-1, 1, (3, 4))) for _ in range(2))
+    g = rng.uniform(-1, 1, (3, 4))
+    ag.reduce_sum(ag.mul(ag.add(x, y), ag.constant(g))).backward()
+    assert np.array_equal(x.grad, g) and np.array_equal(y.grad, g)
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad += 1.0
+    assert np.array_equal(y.grad, g)
+    x.grad = None
+    ag.reduce_sum(ag.mul(ag.add(x, x), ag.constant(g))).backward()
+    assert np.array_equal(x.grad, 2.0 * g)

@@ -224,6 +224,50 @@ def test_backward_frees_the_graph_as_it_walks():
     assert all(t.grad is not None for t in model.reg.tensors().values())
 
 
+@pytest.mark.parametrize("ablation,ifa_head,iga_head", [
+    *((None, ifa, iga) for ifa in ("linear", "nonlinear")
+      for iga in ("linear", "nonlinear")),
+    ("no_ifa", "linear", "nonlinear")])
+def test_no_two_gradients_share_memory(monkeypatch, ablation, ifa_head,
+                                       iga_head):
+    # each backward rule gives a buffer to at most one tensor.  Checked as
+    # the walk hands each first gradient on: it shares no memory with the
+    # gradient of any other tensor that still holds one.  A buffer two
+    # tensors held would take both their later sums, so after the walk no
+    # two parameter gradients share memory either.
+    from dove.batching import Batch
+    from dove.config import TrainConfig
+    from dove.model import Model
+
+    rng = np.random.default_rng(2)
+    b = 4
+    cfg = TrainConfig(d=8, heads=2, batch_size=b, seed=3, ifa_head=ifa_head,
+                      iga_head=iga_head, **({ablation: True} if ablation else {}))
+    model = Model(cfg, rng.uniform(-1, 1, (20, 300)))
+    model.bind_feature_widths(6, 4)
+    batch = Batch(msv=rng.uniform(-1, 1, (b, 3, 6)),
+                  roi=rng.uniform(-1, 1, (b, 5, 4)),
+                  captions=_ragged_captions(3, b, 20, 6),
+                  image_ids=list(range(b)), caption_ids=list(range(b)))
+    holders, acc = [], ag._acc
+
+    def checked_acc(t, g):
+        if t.grad is None:
+            assert not any(h.grad is not None and np.shares_memory(h.grad, g)
+                           for h in holders)
+            holders.append(t)
+        acc(t, g)
+
+    loss = model.batch_losses(batch)[0]
+    monkeypatch.setattr(ag, "_acc", checked_acc)
+    loss.backward()
+    grads = [t.grad for t in model.reg.tensors().values()
+             if t.grad is not None]
+    assert len(grads) > 20
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[:i])
+
+
 def test_final_grid_holds_one_guided_block_at_a_time():
     # 40 images x 400 captions at d=64: all T_RG blocks together take
     # N*M*d*8 bytes (8.2 MB); guided one image at a time, the grid's peak
