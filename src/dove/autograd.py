@@ -6,16 +6,10 @@ has ``requires_grad``, and frees the graph as it walks it.  ``grad_check``
 is the verification oracle: every analytic rule is compared against
 central finite differences.
 
-``add`` and ``mul`` broadcast as NumPy does, provided one operand's
-shape is the broadcast shape: a row (n,) or a column (m, 1) against an
-(m, n) operand, say.  The result then has that operand's shape, and the
-other operand's gradient is summed down to its own shape.  Any other
-pair, one whose broadcast is larger than both operands or that does not
-broadcast at all, raises ``DimensionError``.  Their second operand may
-also be a real number (a Python or NumPy scalar, not an ndarray): it acts
-as a shape-() constant, builds no ``Tensor`` and gets no gradient.
-``take_diag`` returns the diagonal as an (n, 1) column, so it broadcasts
-along rows as it is and along columns once transposed.
+``add`` and ``mul`` take two tensors of one shape, or a tensor and a
+real number (a Python or NumPy scalar, not an ndarray): the number acts
+as a shape-() constant, builds no ``Tensor`` and gets no gradient.  Any
+other pair of operands raises ``DimensionError``; nothing broadcasts.
 
 Images travel as image-major rows: b images of m rows each are one
 (b·m, n) array, image 0's rows first.  Row-wise ops run on them as on
@@ -37,6 +31,8 @@ for every image and caption, as one node: it guides the images a block
 at a time and keeps only (N, M) arrays for its backward, which
 recomputes each block.  ``guided_rows`` gives the T_RG rows of chosen
 pairs from the same block arithmetic, as plain values.
+``triplet_hinge`` is the ranking loss's (B, B) grid of hinge terms over
+such a grid, as one node.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -55,8 +51,8 @@ __all__ = [
     "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
     "affine",
     "sigmoid", "relu", "mean_rows", "reduce_sum", "concat",
-    "normalize_rows", "take_diag", "gru_scan", "gated_attention",
-    "cross_rows", "guided_scores", "grad_check",
+    "normalize_rows", "gru_scan", "gated_attention", "cross_rows",
+    "guided_scores", "triplet_hinge", "grad_check",
 ]
 
 
@@ -287,20 +283,6 @@ def concat(*parts: Tensor) -> Tensor:
     return out
 
 
-def take_diag(s: Tensor) -> Tensor:
-    """The diagonal of a square rank-2 tensor, as an (n, 1) column."""
-    if s.data.ndim != 2 or s.data.shape[0] != s.data.shape[1]:
-        raise DimensionError("take_diag expects a square rank-2 tensor")
-    out = _result(np.diag(s.data)[:, None].copy(), (s,))
-    if out.requires_grad:
-        def bw(g):
-            full = np.zeros_like(s.data)
-            np.fill_diagonal(full, g[:, 0])
-            _acc(s, full)
-        out._bw = bw
-    return out
-
-
 class Packing:
     """Where b sequences of ``lengths`` tokens lie in N packed rows.
 
@@ -355,18 +337,13 @@ class Packing:
 # -------------------------------------------------------------- elementwise
 
 def _operand(a: Tensor, b, name: str):
-    """``b``'s values and the result's parents: a tensor ``b`` must
-    broadcast with ``a`` to one of their two shapes; a real number ``b``
-    is a shape-() constant, not a parent."""
+    """``b``'s values and the result's parents: a tensor ``b`` must have
+    ``a``'s shape; a real number ``b`` is a shape-() constant, not a
+    parent."""
     if isinstance(b, Tensor):
-        sa, sb = a.data.shape, b.data.shape
-        if sa != sb:
-            try:
-                shape = np.broadcast_shapes(sa, sb)
-            except ValueError:
-                shape = None
-            if shape not in (sa, sb):
-                raise DimensionError(f"{name} cannot broadcast {sa} with {sb}")
+        if a.data.shape != b.data.shape:
+            raise DimensionError(f"{name} expects operands of one shape, got "
+                                 f"{a.data.shape} and {b.data.shape}")
         return b.data, (a, b)
     if isinstance(b, numbers.Real):
         return b, (a,)
@@ -374,29 +351,15 @@ def _operand(a: Tensor, b, name: str):
                          f"got {type(b).__name__}")
 
 
-def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """``g`` summed down to a broadcast operand's ``shape``: over the
-    leading axes the operand lacks, then over its size-1 axes."""
-    if g.shape == shape:
-        return g
-    if g.ndim > len(shape):
-        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    ones = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=ones, keepdims=True) if ones else g
-
-
 def add(a: Tensor, b: Tensor | float) -> Tensor:
     b_data, parents = _operand(a, b, "add")
     out = _result(a.data + b_data, parents)
     if out.requires_grad:
         def bw(g):
-            g_a = None
             if a.requires_grad:
-                g_a = _sum_to(g, a.data.shape)
-                _acc(a, g_a)
+                _acc(a, g)
             if len(parents) == 2 and b.requires_grad:
-                g_b = _sum_to(g, b.data.shape)
-                _acc(b, g_b.copy() if g_b is g_a else g_b)  # one owner each
+                _acc(b, g.copy() if a.requires_grad else g)  # one owner each
         out._bw = bw
     return out
 
@@ -407,9 +370,9 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _acc(a, _sum_to(g * b_data, a.data.shape))
+                _acc(a, g * b_data)
             if len(parents) == 2 and b.requires_grad:
-                _acc(b, _sum_to(g * a.data, b.data.shape))
+                _acc(b, g * a.data)
         out._bw = bw
     return out
 
@@ -848,6 +811,49 @@ def guided_scores(v_mr: Tensor, f_r: Tensor, f_g: Tensor, head) -> Tensor:
             for t, grad in grads:
                 if t.requires_grad:
                     _acc(t, grad)
+        out._bw = bw
+    return out
+
+
+# ------------------------------------------------------------------ ranking
+
+def triplet_hinge(s: Tensor, alpha: float) -> Tensor:
+    """The (B, B) hinge grid of a score grid ``s``, as one graph node.
+
+    Row i scores image i against every caption, and the diagonal holds
+    the positives.  Entry (i, j), j != i, is
+
+        [(S_ij - S_ii) + alpha]_+ + [(S_ij - S_jj) + alpha]_+
+
+    and the diagonal is 0.  Margins come before the offset, so score
+    grids written with short decimals hinge to exact short decimals too.
+    The node keeps the two hinge arrays; with G_i and G_t the upstream
+    gradient where each is active, dS = G_i + G_t off the diagonal and
+    dS_ii = -(sum_j G_i[i, j] + sum_j G_t[j, i]).
+    """
+    if s.data.ndim != 2 or s.data.shape[0] != s.data.shape[1]:
+        raise DimensionError(f"triplet_hinge expects a square grid, got "
+                             f"{s.data.shape}")
+    b = s.data.shape[0]
+    if b < 2:
+        raise DimensionError("triplet_hinge needs at least 2 pairs")
+    off = 1.0 - np.eye(b)
+    pos = np.diag(s.data)
+    hinges = []
+    for margins in (s.data - pos[:, None], s.data - pos[None, :]):
+        margins += alpha
+        margins *= off
+        hinges.append(np.maximum(margins, 0.0, out=margins))
+    by_image, by_text = hinges
+    out = _result(by_image + by_text, (s,))
+    if out.requires_grad:
+        def bw(g):
+            g_i, g_t = g * (by_image > 0.0), g * (by_text > 0.0)
+            # +0 on the diagonal, where no term is active; subtracting
+            # from it keeps +0 for a pair whose terms are all inactive
+            ds = g_i + g_t
+            ds[np.diag_indices(b)] -= g_i.sum(axis=1) + g_t.sum(axis=0)
+            _acc(s, ds)
         out._bw = bw
     return out
 

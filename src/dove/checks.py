@@ -55,12 +55,6 @@ def primitive_gradcheck(seed: int = 0) -> float:
     # that add gave to both would collect mul's gradients twice
     check({"x": x, "y": y}, lambda: ag.add(ag.add(x, y), ag.mul(x, y)))
 
-    # broadcast operands: a row (4,) and a column (3, 1) against (3, 4)
-    row = Tensor(_rand(stream, 4), requires_grad=True)
-    col = Tensor(_rand(stream, 3, 1), requires_grad=True)
-    for op in (ag.add, ag.mul):
-        check({"x": x, "r": row}, lambda: op(x, row))
-        check({"c": col, "x": x}, lambda: op(col, x))
     w = Tensor(_rand(stream, 4, 5), requires_grad=True)
     b5 = Tensor(_rand(stream, 5), requires_grad=True)
     check({"x": x, "w": w, "b": b5}, lambda: ag.affine(x, w, b5))
@@ -70,8 +64,10 @@ def primitive_gradcheck(seed: int = 0) -> float:
     check({"x": x}, lambda: ag.normalize_rows(x))
     check({"x": x}, lambda: ag.reduce_sum(x))
 
-    sq = Tensor(_rand(stream, 4, 4), requires_grad=True)
-    check({"s": sq}, lambda: ag.take_diag(sq))
+    # scores in (-0.1, 0.1) against a margin of 0.1: some hinge terms
+    # are active and some are not
+    grid = Tensor(0.1 * _rand(stream, 4, 4), requires_grad=True)
+    check({"s": grid}, lambda: ag.triplet_hinge(grid, 0.1))
 
     # 4 steps, so every U gradient sums terms carried across steps
     gates = {f"x_{g}": Tensor(_rand(stream, 4, 3), requires_grad=True)

@@ -11,6 +11,7 @@ import oracles
 from dove import autograd as ag
 from dove.autograd import DegenerateVectorError, DimensionError, Tensor
 from dove.checks import primitive_gradcheck
+from dove.objective import triplet_loss
 
 
 def _param(values):
@@ -112,33 +113,14 @@ def test_gru_scan_rejects_mismatched_shapes():
             ag.gru_scan(*operands, False)
 
 
-@pytest.mark.parametrize("op,np_op", [(ag.add, np.add), (ag.mul, np.multiply)])
-@pytest.mark.parametrize("small", [(4,), (3, 1)])
-def test_broadcast_forward_matches_numpy(op, np_op, small):
-    rng = np.random.default_rng(7)
-    big, part = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, small)
-    assert np.array_equal(op(_param(big), _param(part)).data, np_op(big, part))
-    assert np.array_equal(op(_param(part), _param(big)).data, np_op(part, big))
-
-
-def test_broadcast_gradient_sums_down_to_the_operand():
-    # the reductions are exactly the bias row's g.sum(axis=0) and the gate
-    # column's (g * x).sum(axis=1), bit for bit
-    rng = np.random.default_rng(8)
-    x, g = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4))
-    row = _param(rng.uniform(-1, 1, 4))
-    col = _param(rng.uniform(-1, 1, (3, 1)))
-    ag.reduce_sum(ag.mul(ag.add(_param(x), row), ag.constant(g))).backward()
-    assert np.array_equal(row.grad, g.sum(axis=0))
-    ag.reduce_sum(ag.mul(ag.mul(col, _param(x)), ag.constant(g))).backward()
-    assert np.array_equal(col.grad, (g * x).sum(axis=1)[:, None])
-
-
 @pytest.mark.parametrize("op", [ag.add, ag.mul])
 @pytest.mark.parametrize("a,b", [((3,), (3, 1)), ((3, 4), (4, 3)),
                                  ((3, 1), (1, 4)), ((3, 4), (3,)),
-                                 ((4,), (3, 1))])
+                                 ((4,), (3, 1)), ((3, 4), (4,)),
+                                 ((3, 4), (3, 1))])
 def test_broadcast_to_neither_operands_shape_raises(op, a, b):
+    # the last two pairs would broadcast to the first operand's shape;
+    # they raise as well, since tensor operands must have one shape
     for pair in ((a, b), (b, a)):
         with pytest.raises(DimensionError):
             op(*(_param(np.ones(shape)) for shape in pair))
@@ -180,13 +162,22 @@ def test_operand_that_is_no_tensor_or_number_raises(op, operand):
         op(_param(np.ones(4)), operand)
 
 
-def test_take_diag_is_a_column_whose_gradient_fills_the_diagonal():
-    s = _param(np.arange(9.0).reshape(3, 3))
-    d = ag.take_diag(s)
-    assert d.data.shape == (3, 1)
-    assert np.array_equal(d.data, [[0.0], [4.0], [8.0]])
-    ag.reduce_sum(ag.mul(d, ag.constant([[1.0], [2.0], [3.0]]))).backward()
-    assert np.array_equal(s.grad, np.diag([1.0, 2.0, 3.0]))
+def test_triplet_hinge_hand_gradient_in_two_nodes():
+    # by image, only (0, 1) is active (0.3); by text, both off-diagonal
+    # entries are (0.1 each).  Each active term adds 1 at its negative and
+    # takes 1 from its positive
+    s = _param([[0.5, 0.6], [0.4, 0.7]])
+    loss = triplet_loss(s, alpha=0.2)
+    assert loss.item() == 0.5
+    nodes, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t._parents and id(t) not in nodes:
+            nodes.add(id(t))
+            stack.extend(t._parents)
+    assert len(nodes) == 2  # triplet_hinge and reduce_sum
+    loss.backward()
+    assert np.array_equal(s.grad, [[-2.0, 2.0], [1.0, -1.0]])
 
 
 def test_concat_rows_shapes():

@@ -191,18 +191,22 @@ def test_caption_code_is_the_mean_of_its_real_word_features(
         assert np.allclose(t_g[j], rows.mean(axis=0), rtol=0.0, atol=1e-15)
 
 
-def test_backward_frees_the_graph_as_it_walks():
+@pytest.mark.parametrize("overrides", [
+    {}, {"ifa_head": "nonlinear"}, {"no_iga": True}, {"no_dtga": True}],
+    ids=["default", "nonlinear_ifa", "no_iga", "no_dtga"])
+def test_backward_frees_the_graph_as_it_walks(overrides):
     # the backward must return the parameter gradients (2.1 MB here), so
     # the bound is on what it holds beyond them.  Freeing as it walks, it
-    # holds 0.08 of the forward graph; a backward that frees nothing
-    # holds 1.7 of it
+    # holds 0.08 (default) to 0.19 (nonlinear IFA head) of the forward
+    # graph; a backward that frees nothing holds 1.7 of it.  The
+    # nonlinear IFA head under an ablation holds more than the bound
     from dove.batching import Batch
     from dove.config import TrainConfig
     from dove.model import Model
 
     rng = np.random.default_rng(0)
     d, b = 64, 8
-    model = Model(TrainConfig(d=d, heads=2, batch_size=b, seed=1),
+    model = Model(TrainConfig(d=d, heads=2, batch_size=b, seed=1, **overrides),
                   rng.uniform(-1, 1, (40, 300)))
     model.bind_feature_widths(64, 32)
     batch = Batch(msv=rng.uniform(-1, 1, (b, 4, 64)),

@@ -200,10 +200,11 @@ def head_of(reg, head):
 
 def composed_grid(v_mr, f_r, f_g, head):
     """The final grid built from primitives, one image at a time."""
-    scores = []
+    scores, widen = [], ag.constant(np.ones((1, f_g.data.shape[1])))
     for i in range(v_mr.data.shape[0]):
         gate = ag.sigmoid(ag.matmul(f_g, ag.transpose(ag.take_rows(f_r, [i]))))
-        u = ag.mul(f_g, ag.add(gate, 1.0))
+        # 1 + g, an (M, 1) column, widened to f_g's (M, d) by a row of ones
+        u = ag.mul(f_g, ag.matmul(ag.add(gate, 1.0), widen))
         t_rg = ag.affine(u, head[0], head[1])
         if len(head) == 4:
             t_rg = ag.add(ag.affine(ag.relu(t_rg), head[2], head[3]), u)
