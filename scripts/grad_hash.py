@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the losses and parameter gradients of 64 batches.
+
+Each configuration builds a fresh model and runs one ``batch_losses``
+forward and backward on one batch of a small synthetic corpus: d/B in
+{64/8, 32/3}, times the four IFA x IGA head pairs, times the ablations
+{none, no_iga, no_ifa, no_dtga}, times seeds {1, 2}.  The digest covers
+the three losses and every parameter gradient, by name, in registry
+order.  Two trees that print the same digest compute the training step
+bit for bit alike.
+
+The BLAS thread variables default to 1 before NumPy is imported, since
+the digest differs between thread counts; a variable already set in the
+environment is kept.
+
+    python3 scripts/grad_hash.py
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import hashlib  # noqa: E402
+import itertools  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from dove.batching import gather_batch, training_batches  # noqa: E402
+from dove.config import TrainConfig  # noqa: E402
+from dove.dataio import load_dataset  # noqa: E402
+from dove.model import Model  # noqa: E402
+from dove.synth import synth_dataset, write_dataset  # noqa: E402
+
+SHAPES = ((64, 8), (32, 3))
+HEADS = ("linear", "nonlinear")
+ABLATIONS = (None, "no_iga", "no_ifa", "no_dtga")
+SEEDS = (1, 2)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as data_dir:
+        write_dataset(synth_dataset(seed=1, n_images=16, n_clusters=4,
+                                    d_in=64, d_r=32), data_dir)
+        ds = load_dataset(data_dir)
+    pairs = ds.captions_of(range(ds.n_images))
+    digest = hashlib.sha256()
+    runs = 0
+    for (d, b), ifa, iga, ablation, seed in itertools.product(
+            SHAPES, HEADS, HEADS, ABLATIONS, SEEDS):
+        cfg = TrainConfig(d=d, heads=2, batch_size=b, seed=seed,
+                          ifa_head=ifa, iga_head=iga)
+        if ablation:
+            setattr(cfg, ablation, True)
+        model = Model(cfg, ds.embedding)
+        model.bind_feature_widths(ds.msv.shape[2], ds.roi.shape[2])
+        batch = gather_batch(ds, training_batches(ds, pairs, b, seed, 0)[0])
+        losses = model.batch_losses(batch)
+        losses[0].backward()
+        for loss in losses:
+            digest.update(loss.data.tobytes())
+        for name, t in model.reg.tensors().items():
+            digest.update(name.encode())
+            digest.update(b"-" if t.grad is None else t.grad.tobytes())
+        runs += 1
+    print(f"{runs} configurations  sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -458,14 +458,13 @@ def normalize_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------- recurrence
 
 def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
-             u_h: Tensor, reverse: bool, packing: Packing | None = None
-             ) -> Tensor:
+             u_h: Tensor, reverse: bool, packing: Packing) -> Tensor:
     """One GRU direction over packed input projections, as one graph node.
 
-    The projections are (N, d) packed rows (see ``Packing``; default: one
-    sequence of N tokens): a row of ``x_z``, ``x_r`` and ``x_h`` is one
-    token's input-side pre-activation of each gate, and ``u_*`` are the
-    (d, d) recurrent maps.  From h = 0, each step in scan order (end to
+    The projections are (N, d) packed rows laid out by ``packing`` (see
+    ``Packing``): a row of ``x_z``, ``x_r`` and ``x_h`` is one token's
+    input-side pre-activation of each gate, and ``u_*`` are the (d, d)
+    recurrent maps.  From h = 0, each step in scan order (end to
     start when ``reverse``) updates the k = ``sizes[t]`` sequences live at
     position t, the leading rows of h, at once:
 
@@ -489,9 +488,7 @@ def gru_scan(x_z: Tensor, x_r: Tensor, x_h: Tensor, u_z: Tensor, u_r: Tensor,
             f"gru_scan expects three (N,d) projections and three (d,d) "
             f"maps; got {[t.data.shape for t in xs + us]}")
     n, d = shape
-    if packing is None:
-        packing = Packing([n])
-    elif packing.index.size != n:
+    if packing.index.size != n:
         raise DimensionError(
             f"gru_scan got {n} rows for a packing of {packing.index.size}")
     spans = [(lo, lo + k) for lo, k in zip(packing.offsets.tolist(),

@@ -19,7 +19,6 @@ class Split:
     train_images: list[int]
     val_images: list[int]
     train_pairs: list[int]   # caption indices whose image is in train
-    val_pairs: list[int]
 
 
 def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> Split:
@@ -37,8 +36,7 @@ def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> Split:
     train_images = sorted(int(i) for i in order[n_val:])
     if not val_images:
         val_images = list(train_images)
-    return Split(train_images, val_images, ds.captions_of(train_images),
-                 ds.captions_of(val_images))
+    return Split(train_images, val_images, ds.captions_of(train_images))
 
 
 @dataclass

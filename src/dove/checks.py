@@ -75,7 +75,8 @@ def primitive_gradcheck(seed: int = 0) -> float:
     gates.update({f"u_{g}": Tensor(_rand(stream, 3, 3), requires_grad=True)
                   for g in "zrh"})
     for reverse in (False, True):
-        check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse))
+        check(gates, lambda: ag.gru_scan(*gates.values(), reverse=reverse,
+                                         packing=ag.Packing([4])))
 
     # 2 images of 2 scale rows and 3 region rows, image-major
     f_m = Tensor(_rand(stream, 4, 3), requires_grad=True)

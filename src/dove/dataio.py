@@ -175,7 +175,7 @@ def normalize_token(token: str) -> str:
 
 
 def load_captions(path: str, vocab: dict[str, int],
-                  n_images: int | None = None) -> CaptionSet:
+                  n_images: int) -> CaptionSet:
     records = []
     unknown = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -193,7 +193,7 @@ def load_captions(path: str, vocab: dict[str, int],
             except ValueError:
                 raise CaptionFormatError(
                     f"{path}:{lineno}: non-integer image index {raw_idx!r}") from None
-            if image_index < 0 or (n_images is not None and image_index >= n_images):
+            if not 0 <= image_index < n_images:
                 raise CaptionFormatError(
                     f"{path}:{lineno}: image index {image_index} out of range")
             tokens = [tok for tok in map(normalize_token, text.split()) if tok]

@@ -36,28 +36,27 @@ def _unit_rows(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
             f"{kind} {ids[exc.row]} has a near-zero embedding") from None
 
 
+def _captions_of(ds: Dataset, image_indices: list[int]) -> list[int]:
+    caption_indices = ds.captions_of(image_indices)
+    if not caption_indices:
+        raise ValueError("the evaluated images have no captions")
+    return caption_indices
+
+
 def encode_images(model: Model, ds: Dataset,
                   image_indices: list[int]) -> ImageCodes:
-    """Image codes; one whose V_MR cannot be scored raises.
-
-    Evaluation scores only the final grid, so V_M is not checked here
-    (``embedding_distances`` checks it by name).
-    """
+    """Codes of the given dataset images, in that order."""
     with no_grad():
-        codes = model.encode_images([ds.msv[i] for i in image_indices],
-                                    [ds.roi[i] for i in image_indices])
-    _unit_rows(codes.v_mr.data, "image", image_indices)
-    return codes
+        return model.encode_images([ds.msv[i] for i in image_indices],
+                                   [ds.roi[i] for i in image_indices])
 
 
 def encode_captions(model: Model, ds: Dataset,
                     caption_indices: list[int]) -> ag.Tensor:
-    """(n, d) T_G rows; a caption whose T_G cannot be scored raises."""
+    """(n, d) T_G rows of the given dataset captions, in that order."""
     with no_grad():
-        t_g = model.encode_captions([ds.captions[k].token_ids
-                                     for k in caption_indices])
-    _unit_rows(t_g.data, "caption", caption_indices)
-    return t_g
+        return model.encode_captions([ds.captions[k].token_ids
+                                      for k in caption_indices])
 
 
 @dataclass
@@ -68,33 +67,36 @@ class SimilarityResult:
     text_to_image: np.ndarray  # image index per column
 
 
-def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int],
-                      caption_indices: list[int], *,
+def similarity_matrix(model: Model, ds: Dataset, image_indices: list[int], *,
                       codes=None) -> SimilarityResult:
-    """Pairwise final-score grid between images and captions.
+    """Final-score grid between images and all of their captions.
 
-    Each score is the cosine of (V_MR, T_RG(i, j)), honoring the
-    configured ablations, from ``Model.final_scores``.  ``codes`` is
-    (image codes, T_G rows) in the order of the two index lists; when
-    omitted they are encoded here.
+    Columns are ``ds.captions_of(image_indices)``.  Each score is the
+    cosine of (V_MR, T_RG(i, j)), honoring the configured ablations, from
+    ``Model.final_scores``.  ``codes`` is (image codes, T_G rows) in the
+    order of the images and of their captions; when omitted they are
+    encoded here.  A near-zero V_MR, T_G or T_RG raises
+    ``DegenerateEmbeddingError`` naming its image or caption.
     """
-    if not image_indices or not caption_indices:
-        raise ValueError("similarity_matrix needs nonempty query sets")
+    caption_indices = _captions_of(ds, image_indices)
     if codes is None:
         codes = (encode_images(model, ds, image_indices),
                  encode_captions(model, ds, caption_indices))
+    images, t_g = codes
+    _unit_rows(images.v_mr.data, "image", image_indices)
+    _unit_rows(t_g.data, "caption", caption_indices)
     try:
         with no_grad():
-            s_final = model.final_scores(*codes)
+            s_final = model.final_scores(images, t_g)
     except ag.DegenerateVectorError as exc:
-        # the encoders reject degenerate V_MR and T_G: this is T_RG
+        # V_MR and T_G passed above: this is T_RG
         raise DegenerateEmbeddingError(
             f"caption {caption_indices[exc.row]} has a near-zero embedding "
             f"when guided by image {image_indices[exc.image]}") from exc
     text_to_image = np.array([ds.captions[k].image_index
                               for k in caption_indices], dtype=np.int64)
     return SimilarityResult(s_final.data, list(image_indices),
-                            list(caption_indices), text_to_image)
+                            caption_indices, text_to_image)
 
 
 # ----------------------------------------------------------------- recalls
@@ -155,9 +157,9 @@ DISTANCE_KEYS = ("v_mr__t_rg", "v_m__t_g", "v_r__v_mr", "v_r__v_m",
 
 
 def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
-                        caption_indices: list[int] | None = None, *,
-                        codes=None) -> dict:
-    """Euclidean distance statistics over positive (image, caption) pairs.
+                        *, codes=None) -> dict:
+    """Euclidean distance statistics over the images' (image, caption)
+    pairs, one per caption.
 
     Distances are measured between unit-normalized embeddings -- the
     coordinates the similarity actually compares.  Raw norms are never
@@ -165,30 +167,21 @@ def embedding_distances(model: Model, ds: Dataset, image_indices: list[int],
     vectors would mostly report arbitrary per-branch scale.  ``codes`` is
     as for ``similarity_matrix``.
     """
-    if caption_indices is None:
-        caption_indices = ds.captions_of(image_indices)
-    row_of = {i: p for p, i in enumerate(image_indices)}
-    pairs = [(row_of[ds.captions[k].image_index], c)
-             for c, k in enumerate(caption_indices)
-             if ds.captions[k].image_index in row_of]
-    if not pairs:
-        raise ValueError("no positive pairs in the requested subset")
+    caption_indices = _captions_of(ds, image_indices)
     if codes is None:
         codes = (encode_images(model, ds, image_indices),
                  encode_captions(model, ds, caption_indices))
     images, t_g = codes
-    rows = [p for p, _ in pairs]
-    cols = [c for _, c in pairs]
-    t_rg = model.guided_pairs(ag.constant(images.v_r.data[rows]),
-                              ag.constant(t_g.data[cols]))
+    row_of = {i: p for p, i in enumerate(image_indices)}
+    rows = [row_of[ds.captions[k].image_index] for k in caption_indices]
+    t_rg = model.guided_pairs(ag.constant(images.v_r.data[rows]), t_g)
 
     image_ids = [image_indices[p] for p in rows]
-    caption_ids = [caption_indices[c] for c in cols]
     v_m = _unit_rows(images.v_m.data[rows], "v_m of image", image_ids)
     v_r = _unit_rows(images.v_r.data[rows], "v_r of image", image_ids)
     v_mr = _unit_rows(images.v_mr.data[rows], "v_mr of image", image_ids)
-    t_g = _unit_rows(t_g.data[cols], "t_g of caption", caption_ids)
-    t_rg = _unit_rows(t_rg, "t_rg of caption", caption_ids)
+    t_g = _unit_rows(t_g.data, "t_g of caption", caption_indices)
+    t_rg = _unit_rows(t_rg, "t_rg of caption", caption_indices)
     operands = {"v_mr__t_rg": (v_mr, t_rg), "v_m__t_g": (v_m, t_g),
                 "v_r__v_mr": (v_r, v_mr), "v_r__v_m": (v_r, v_m),
                 "v_r__t_rg": (v_r, t_rg), "v_r__t_g": (v_r, t_g)}
@@ -226,13 +219,10 @@ def build_report(model: Model, ds: Dataset, image_indices: list[int],
                  split_name: str, subset_files: list[tuple[str, list[int]]] = (),
                  with_distances: bool = True) -> RetrievalReport:
     """Recalls, subset recalls and distances from one encoding of the split."""
-    caption_indices = ds.captions_of(image_indices)
-    if not caption_indices:
-        raise ValueError("the evaluated images have no captions")
+    caption_indices = _captions_of(ds, image_indices)
     codes = (encode_images(model, ds, image_indices),
              encode_captions(model, ds, caption_indices))
-    sim = similarity_matrix(model, ds, image_indices, caption_indices,
-                            codes=codes)
+    sim = similarity_matrix(model, ds, image_indices, codes=codes)
     report = RetrievalReport(
         config_hash=config_hash(model.cfg),
         seed=model.cfg.seed,
@@ -247,7 +237,7 @@ def build_report(model: Model, ds: Dataset, image_indices: list[int],
         report.subsets.append(block)
     if with_distances:
         report.distances = embedding_distances(model, ds, image_indices,
-                                               caption_indices, codes=codes)
+                                               codes=codes)
     return report
 
 

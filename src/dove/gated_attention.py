@@ -38,14 +38,12 @@ def register_ga_params(reg: ParamRegistry, prefix: str, d: int, heads: int):
 
 
 def gated_self_attention(x: Tensor, reg: ParamRegistry, prefix: str,
-                         heads: int, packing: ag.Packing | None = None
-                         ) -> Tensor:
-    """(N, d) packed rows -> (N, d), one sequence when ``packing`` is
-    None."""
+                         heads: int, packing: ag.Packing) -> Tensor:
+    """(N, d) packed rows laid out by ``packing`` -> (N, d)."""
     d = x.data.shape[-1]
     if d % heads != 0:
         raise ag.DimensionError(f"width {d} not divisible by {heads} heads")
-    return ag.gated_attention(x, packing or ag.Packing([x.data.shape[0]]), [
+    return ag.gated_attention(x, packing, [
         # each head's w_q, b_q, w_k, b_k, w_v, b_v, w_a, b_a
         [reg[f"{prefix}.h{k}.{wb}_{part}"] for part in "qkva" for wb in "wb"]
         for k in range(heads)])
@@ -68,7 +66,7 @@ def register_dtga_params(reg: ParamRegistry, d: int, heads: int):
 
 
 def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
-            heads: int, packing: ag.Packing | None) -> Tensor:
+            heads: int, packing: ag.Packing) -> Tensor:
     """``x`` self-attended with a residual, times ``y``'s probe mask."""
     enhanced = ag.add(gated_self_attention(x, reg, f"{prefix}.self_attn",
                                            heads, packing), x)
@@ -78,7 +76,7 @@ def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
 
 
 def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
-         packing: ag.Packing | None = None) -> Tensor:
+         packing: ag.Packing) -> Tensor:
     """Dual-branch enhancement of the input pair (a, b): the output rows."""
     combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads, packing),
                       _branch(b, a, reg, "dtga.bwd", heads, packing))
@@ -101,8 +99,8 @@ def select_inputs(h_forward: Tensor, h_backward: Tensor,
 
 
 def word_features(h_forward: Tensor, h_backward: Tensor, reg: ParamRegistry,
-                  heads: int, mode: str = "fb", disabled: bool = False,
-                  packing: ag.Packing | None = None) -> Tensor:
+                  heads: int, mode: str, disabled: bool,
+                  packing: ag.Packing) -> Tensor:
     """Word-level text features; the disabled path averages the streams."""
     if disabled:
         return select_inputs(h_forward, h_backward, "avg")[0]

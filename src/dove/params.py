@@ -8,8 +8,11 @@ registry restoring a checkpoint takes each value from the checkpoint at
 registration and draws nothing.
 
 ``two_layer`` is the one two-layer map the model builds from registry
-entries: the nonlinear fusion and guidance heads, the multiscale
-projection, and the gated text enhancer's probe and decoder.
+entries: the nonlinear fusion head, the multiscale projection, and the
+gated text enhancer's probe and decoder.  The nonlinear guidance head
+registers its entries through ``register_two_layer`` too, but
+``autograd.guided_scores`` applies that map from the head's arrays
+inside the grid node.
 """
 from __future__ import annotations
 

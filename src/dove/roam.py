@@ -67,7 +67,7 @@ def _head(x: Tensor, reg: ParamRegistry, prefix: str, head: str) -> Tensor:
 
 
 def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry, images: int,
-             head: str = "linear") -> Tensor:
+             head: str) -> Tensor:
     """Fused rows of ``images`` images, (images·(n_m + n_r), d)."""
     fm = ag.affine(f_m, reg["ifa.w_m"], reg["ifa.b_m"])
     fr = ag.affine(f_r, reg["ifa.w_r"], reg["ifa.b_r"])
@@ -75,7 +75,7 @@ def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry, images: int,
 
 
 def fuse_visual(f_m: Tensor, f_r: Tensor, reg: ParamRegistry, images: int,
-                head: str = "linear", disabled: bool = False) -> Tensor:
+                head: str, disabled: bool) -> Tensor:
     """Fused rows, or each image's rows joined when fusion is off: its
     n_m multiscale rows, then its n_r region rows."""
     if not disabled:
@@ -103,14 +103,14 @@ def _guidance(v_r: Tensor, t_g: Tensor, reg: ParamRegistry, head: str):
 
 
 def iga_scores(v_mr: Tensor, v_r: Tensor, t_g: Tensor, reg: ParamRegistry,
-               head: str = "nonlinear") -> Tensor:
+               head: str) -> Tensor:
     """(N, M) cos(V_MR_i, T_RG(i, j)) of N images' (N, d) fused and region
     codes against M captions' (M, d) T_G rows."""
     return ag.guided_scores(v_mr, *_guidance(v_r, t_g, reg, head))
 
 
 def iga_pair_rows(v_r: Tensor, t_g: Tensor, reg: ParamRegistry,
-                  head: str = "nonlinear") -> np.ndarray:
+                  head: str) -> np.ndarray:
     """T_RG of each row pair (v_r[k], t_g[k]), values only."""
     with ag.no_grad():
         return ag.guided_rows(*_guidance(v_r, t_g, reg, head))

@@ -78,7 +78,7 @@ def embed_captions(token_lists: list[list[int]],
 
 
 def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool,
-          packing: ag.Packing | None) -> Tensor:
+          packing: ag.Packing) -> Tensor:
     # project every token through the input-side maps in one shot
     x_z = ag.affine(e, reg[f"{prefix}.w_z"], reg[f"{prefix}.b_z"])
     x_r = ag.affine(e, reg[f"{prefix}.w_r"], reg[f"{prefix}.b_r"])
@@ -88,13 +88,9 @@ def _scan(e: Tensor, reg: ParamRegistry, prefix: str, reverse: bool,
                        packing)
 
 
-def bigru(e: Tensor, reg: ParamRegistry,
-          packing: ag.Packing | None = None) -> HiddenStates:
-    """Hidden states of both directions, one packed row per token.
-
-    ``e`` is (N, 300) packed rows laid out by ``packing``; without one, it
-    is a single caption of N tokens.
-    """
+def bigru(e: Tensor, reg: ParamRegistry, packing: ag.Packing) -> HiddenStates:
+    """Hidden states of both directions, one packed row per token of the
+    (N, 300) packed rows ``e`` laid out by ``packing``."""
     if e.data.ndim != 2 or e.data.shape[1] != EMBED_DIM:
         raise ag.DimensionError(
             f"bigru expects (N, {EMBED_DIM}) packed rows, got {e.data.shape}")

@@ -52,7 +52,7 @@ class TrainResult:
 
 
 def _val_mr(model: Model, ds: Dataset, split: Split) -> float:
-    sim = similarity_matrix(model, ds, split.val_images, split.val_pairs)
+    sim = similarity_matrix(model, ds, split.val_images)
     return recall_block(sim)["mr"]
 
 

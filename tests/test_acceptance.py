@@ -103,7 +103,8 @@ def test_criterion_02_components_match_independent_oracles():
         reg = ParamRegistry(seed=seed)
         register_ga_params(reg, "ga", D, HEADS)
         x = rng.uniform(-1, 1, (4, D))
-        got = gated_self_attention(ag.constant(x), reg, "ga", HEADS).data
+        got = gated_self_attention(ag.constant(x), reg, "ga", HEADS,
+                                   ag.Packing([4])).data
         want = oracles.gated_attention(x, snapshot(reg), "ga", HEADS)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -111,7 +112,8 @@ def test_criterion_02_components_match_independent_oracles():
         register_dtga_params(reg, D, HEADS)
         a = rng.uniform(-1, 1, (3, D))
         b = rng.uniform(-1, 1, (3, D))
-        got = dtga(ag.constant(a), ag.constant(b), reg, HEADS).data
+        got = dtga(ag.constant(a), ag.constant(b), reg, HEADS,
+                   ag.Packing([3])).data
         assert np.allclose(got, oracles.dtga(a, b, snapshot(reg), HEADS),
                            atol=1e-12)
 
@@ -135,7 +137,7 @@ def test_criterion_02_components_match_independent_oracles():
         reg = ParamRegistry(seed=seed)
         register_gru_params(reg, D)
         e = rng.uniform(-1, 1, (4, 300))
-        states = bigru(ag.constant(e), reg)
+        states = bigru(ag.constant(e), reg, ag.Packing([4]))
         want_f, want_b = oracles.bigru(e, snapshot(reg))
         assert np.allclose(states.forward.data, want_f, atol=1e-12)
         assert np.allclose(states.backward.data, want_b, atol=1e-12)
@@ -195,10 +197,8 @@ def test_criterion_05_desk_scale_overfit(overfit_run):
     assert overfit_run.elapsed < 300.0, (
         f"training took {overfit_run.elapsed:.0f}s")
     assert overfit_run.result.epochs[-1].loss_final < 0.01
-    caps = [k for k, rec in enumerate(overfit_run.ds.captions)
-            if rec.image_index in set(overfit_run.train_images)]
     sim = similarity_matrix(overfit_run.model, overfit_run.ds,
-                            overfit_run.train_images, caps)
+                            overfit_run.train_images)
     block = recall_block(sim)
     assert block["r1_i2t"] == 100.0
     assert block["r1_t2i"] == 100.0
@@ -310,8 +310,9 @@ def test_criterion_09_every_ablation_trains_under_its_own_hash(
     reg = ParamRegistry(seed=4)
     register_gru_params(reg, D)
     e = np.random.default_rng(8).uniform(-1, 1, (5, 300))
-    states = bigru(ag.constant(e), reg)
+    one = ag.Packing([5])
+    states = bigru(ag.constant(e), reg, one)
     got = word_features(states.forward, states.backward, reg, HEADS,
-                        mode="fb", disabled=True).data
+                        mode="fb", disabled=True, packing=one).data
     want = (states.forward.data + states.backward.data) / 2.0
     assert np.array_equal(got, want)

@@ -42,10 +42,11 @@ def test_activation_values():
     assert ag.sigmoid(_param([0.0])).data[0] == 0.5
     assert abs(ag.sigmoid(_param([math.log(3.0)])).data[0] - 0.75) < 1e-12
     # one GRU step from h = 0 is sigmoid(x_z) * tanh(x_h)
-    zero = _param([[0.0]])
-    assert ag.gru_scan(zero, zero, zero, zero, zero, zero, False).data[0, 0] == 0.0
+    zero, one = _param([[0.0]]), ag.Packing([1])
+    assert ag.gru_scan(zero, zero, zero, zero, zero, zero, False,
+                       one).data[0, 0] == 0.0
     half = ag.gru_scan(zero, zero, _param([[math.atanh(0.5)]]), zero, zero,
-                       zero, False)
+                       zero, False, one)
     assert abs(half.data[0, 0] - 0.25) < 1e-12
     assert np.array_equal(ag.relu(_param([-2.0, 3.0])).data, [0.0, 3.0])
 
@@ -99,7 +100,8 @@ def _gru_operands(n, d):
 
 def test_gru_scan_rejects_mismatched_shapes():
     good = _gru_operands(3, 2)
-    assert ag.gru_scan(*good, False).data.shape == (3, 2)
+    three = ag.Packing([3])
+    assert ag.gru_scan(*good, False, three).data.shape == (3, 2)
     bad_cases = [
         [good[0], _param(np.zeros((4, 2)))] + good[2:],   # projection length
         good[:2] + [_param(np.zeros((3, 3)))] + good[3:],  # projection width
@@ -110,7 +112,12 @@ def test_gru_scan_rejects_mismatched_shapes():
     ]
     for operands in bad_cases:
         with pytest.raises(DimensionError):
-            ag.gru_scan(*operands, False)
+            ag.gru_scan(*operands, False, three)
+    # a packing of more rows, or of fewer, than the projections hold
+    for lengths in ([4], [2], [2, 2], [1, 1]):
+        for reverse in (False, True):
+            with pytest.raises(DimensionError, match="3 rows for a packing"):
+                ag.gru_scan(*good, reverse, ag.Packing(lengths))
 
 
 @pytest.mark.parametrize("op", [ag.add, ag.mul])
@@ -367,7 +374,7 @@ def test_bounded_ops_stay_finite():
     proj = _param([[700.0, -700.0, 50.0], [-700.0, 700.0, -50.0]])
     u = _param(np.full((3, 3), 700.0))
     for reverse in (False, True):
-        out = ag.gru_scan(proj, proj, proj, u, u, u, reverse)
+        out = ag.gru_scan(proj, proj, proj, u, u, u, reverse, ag.Packing([2]))
         ag.reduce_sum(out).backward()
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(u.grad)) and np.all(np.isfinite(proj.grad))

@@ -108,9 +108,9 @@ def test_mean_recall_fixtures():
 
 def test_final_scores_match_per_pair_cosines(tiny_model, tiny_dataset):
     images = [0, 2, 4]
-    caps = [0, 5, 11, 20]
-    sim = similarity_matrix(tiny_model, tiny_dataset, images, caps)
-    assert sim.scores.shape == (3, 4)
+    caps = tiny_dataset.captions_of(images)
+    sim = similarity_matrix(tiny_model, tiny_dataset, images)
+    assert sim.scores.shape == (3, 15)
     assert sim.image_ids == images and sim.caption_ids == caps
     # no_grad is a process-wide flag: scoring must leave gradients on
     assert ag.mul(ag.Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
@@ -138,19 +138,18 @@ def test_global_scores_match_pooled_cosines(tiny_model, tiny_dataset):
                        - cos(codes.v_m.data[i], t_g.data[j])) < 1e-12
 
 
-def test_similarity_columns_permute_with_captions(tiny_model, tiny_dataset):
-    images = [0, 1, 2]
-    caps = [0, 5, 10, 15]
-    base = similarity_matrix(tiny_model, tiny_dataset, images, caps).scores
-    perm = [2, 0, 3, 1]
-    permuted = similarity_matrix(tiny_model, tiny_dataset, images,
-                                 [caps[p] for p in perm]).scores
-    assert np.array_equal(permuted, base[:, perm])
+def test_similarity_rows_permute_with_images(tiny_model, tiny_dataset):
+    # the columns are the images' captions in file order, whatever the
+    # order of the images
+    base = similarity_matrix(tiny_model, tiny_dataset, [0, 1, 2])
+    permuted = similarity_matrix(tiny_model, tiny_dataset, [2, 0, 1])
+    assert permuted.caption_ids == base.caption_ids
+    assert np.array_equal(permuted.scores, base.scores[[2, 0, 1]])
 
 
 def test_similarity_rejects_bad_requests(tiny_model, tiny_dataset):
-    with pytest.raises(ValueError):
-        similarity_matrix(tiny_model, tiny_dataset, [], [0])
+    with pytest.raises(ValueError, match="have no captions"):
+        similarity_matrix(tiny_model, tiny_dataset, [])
 
 
 def test_degenerate_caption_embedding_is_reported():
@@ -167,7 +166,7 @@ def test_degenerate_caption_embedding_is_reported():
     model = Model(cfg, ds.embedding)
     model.bind_feature_widths(6, 4)
     with pytest.raises(DegenerateEmbeddingError):
-        similarity_matrix(model, ds, [0], [0])
+        similarity_matrix(model, ds, [0])
     with pytest.raises(DegenerateEmbeddingError):
         embedding_distances(model, ds, [0])
 
@@ -186,10 +185,17 @@ def test_distance_stats_structure(tiny_model, tiny_dataset):
         assert s["stddev"] >= 0.0
 
 
+def without_captions(ds, image, keep=0):
+    """``ds`` with all but ``keep`` of ``image``'s captions removed."""
+    kept = ds.captions_of([image])[:keep]
+    return dataclasses.replace(ds, captions=[
+        r for k, r in enumerate(ds.captions)
+        if r.image_index != image or k in kept])
+
+
 def test_distance_stats_single_pair(tiny_model, tiny_dataset):
-    caps_of_zero = tiny_dataset.captions_of([0])
-    stats = embedding_distances(tiny_model, tiny_dataset, [0],
-                                [caps_of_zero[0]])
+    ds = without_captions(tiny_dataset, 0, keep=1)
+    stats = embedding_distances(tiny_model, ds, [0])
     for s in stats.values():
         assert s["n_pairs"] == 1
         assert s["stddev"] == 0.0
@@ -201,7 +207,7 @@ def test_distances_take_t_rg_from_the_scored_guidance(tiny_model,
     # each positive pair's T_RG is the oracle's guided code of that pair
     images = [3, 0]
     caps = tiny_dataset.captions_of(images)
-    stats = embedding_distances(tiny_model, tiny_dataset, images, caps)
+    stats = embedding_distances(tiny_model, tiny_dataset, images)
     codes = encode_images(tiny_model, tiny_dataset, images)
     t_g = encode_captions(tiny_model, tiny_dataset, caps).data
     vals = {n: t.data for n, t in tiny_model.reg.tensors().items()}
@@ -218,16 +224,12 @@ def test_distances_take_t_rg_from_the_scored_guidance(tiny_model,
 
 
 def test_distance_stats_need_positive_pairs(tiny_model, tiny_dataset):
-    with pytest.raises(ValueError):
-        embedding_distances(tiny_model, tiny_dataset, [0],
-                            tiny_dataset.captions_of([1]))
+    with pytest.raises(ValueError, match="have no captions"):
+        embedding_distances(tiny_model, without_captions(tiny_dataset, 1),
+                            [1])
 
 
 # ------------------------------------------------------------------ subsets
-
-def full_grid(model, ds, images):
-    return similarity_matrix(model, ds, images, ds.captions_of(images))
-
 
 def test_subset_eval_matches_direct_computation(tiny_model, tiny_dataset):
     # the block is sliced out of the full grid; scoring the subset on its
@@ -235,9 +237,9 @@ def test_subset_eval_matches_direct_computation(tiny_model, tiny_dataset):
     # rounding (a product's last bits can depend on the matrix width)
     eval_images = [5, 0, 3, 2, 1]
     subset = [2, 0, 4, 3]
-    full = full_grid(tiny_model, tiny_dataset, eval_images)
+    full = similarity_matrix(tiny_model, tiny_dataset, eval_images)
     keep = [0, 3, 2]
-    direct = full_grid(tiny_model, tiny_dataset, keep)
+    direct = similarity_matrix(tiny_model, tiny_dataset, keep)
     block = subset_eval(tiny_dataset, full, subset)
     want = recall_block(direct)
     for key, value in want.items():
@@ -254,22 +256,21 @@ def test_subset_eval_matches_direct_computation(tiny_model, tiny_dataset):
 def test_report_over_images_without_captions_says_so(tiny_model,
                                                      tiny_dataset):
     # image 5 keeps its features but loses its captions
-    ds = dataclasses.replace(tiny_dataset, captions=[
-        r for r in tiny_dataset.captions if r.image_index != 5])
+    ds = without_captions(tiny_dataset, 5)
     with pytest.raises(ValueError,
                        match="the evaluated images have no captions"):
         build_report(tiny_model, ds, [5], "x")
 
 
 def test_subset_eval_singleton_is_trivially_perfect(tiny_model, tiny_dataset):
-    full = full_grid(tiny_model, tiny_dataset,
-                     list(range(tiny_dataset.n_images)))
+    full = similarity_matrix(tiny_model, tiny_dataset,
+                             list(range(tiny_dataset.n_images)))
     block = subset_eval(tiny_dataset, full, [4])
     assert block["r1_i2t"] == 100.0 and block["r1_t2i"] == 100.0
 
 
 def test_subset_eval_rejects_bad_subsets(tiny_model, tiny_dataset):
-    full = full_grid(tiny_model, tiny_dataset, [0, 1])
+    full = similarity_matrix(tiny_model, tiny_dataset, [0, 1])
     with pytest.raises(ValueError, match="out of range"):
         subset_eval(tiny_dataset, full, [99])
     with pytest.raises(ValueError, match="intersect"):
@@ -277,13 +278,13 @@ def test_subset_eval_rejects_bad_subsets(tiny_model, tiny_dataset):
 
 
 def test_subset_eval_rejects_images_without_captions(tiny_model, tiny_dataset):
-    # image 4 is scored but none of its captions is: a subset of it alone
-    # has no texts to rank, and says so instead of reducing an empty grid
-    full = similarity_matrix(tiny_model, tiny_dataset, [0, 1, 4],
-                             tiny_dataset.captions_of([0, 1]))
+    # image 4 is scored but has no captions: a subset of it alone has no
+    # texts to rank, and says so instead of reducing an empty grid
+    ds = without_captions(tiny_dataset, 4)
+    full = similarity_matrix(tiny_model, ds, [0, 1, 4])
     with pytest.raises(ValueError, match="no captions among the evaluated"):
-        subset_eval(tiny_dataset, full, [4])
-    assert subset_eval(tiny_dataset, full, [4, 1])["n_texts"] > 0
+        subset_eval(ds, full, [4])
+    assert subset_eval(ds, full, [4, 1])["n_texts"] > 0
 
 
 def test_degenerate_guided_caption_names_caption_and_image(
@@ -303,7 +304,33 @@ def test_degenerate_guided_caption_names_caption_and_image(
     with pytest.raises(DegenerateEmbeddingError,
                        match=f"caption {captions[2]} has a near-zero "
                              f"embedding when guided by image 3"):
-        similarity_matrix(tiny_model, tiny_dataset, images, captions)
+        similarity_matrix(tiny_model, tiny_dataset, images)
+
+
+@pytest.mark.parametrize("no_iga", [False, True])
+@pytest.mark.parametrize("kind", ["image", "caption"])
+def test_degenerate_given_codes_name_their_image_or_caption(tiny_dataset,
+                                                            kind, no_iga):
+    # codes handed in skip the encoders: a zero V_MR or T_G row is still
+    # named, under guidance (the grid node) and without it (plain cosines)
+    cfg = TrainConfig(d=8, heads=2, batch_size=2, epochs=1, seed=13,
+                      no_iga=no_iga)
+    model = Model(cfg, tiny_dataset.embedding)
+    model.bind_feature_widths(tiny_dataset.msv.shape[2],
+                              tiny_dataset.roi.shape[2])
+    images = [3, 1, 4]
+    captions = tiny_dataset.captions_of(images)
+    codes = (encode_images(model, tiny_dataset, images),
+             encode_captions(model, tiny_dataset, captions))
+    if kind == "image":
+        codes[0].v_mr.data[1] = 0.0
+        name = "image 1"
+    else:
+        codes[1].data[2] = 0.0
+        name = f"caption {captions[2]}"
+    with pytest.raises(DegenerateEmbeddingError,
+                       match=f"^{name} has a near-zero embedding$"):
+        similarity_matrix(model, tiny_dataset, images, codes=codes)
 
 
 def test_report_encodes_each_caption_once(tiny_model, tiny_dataset,
@@ -372,8 +399,7 @@ def test_build_report_and_rendering(tiny_model, tiny_dataset, tmp_path):
     assert report.full["mr"] == mean_recall(
         [report.full[f"r{k}_{d}"] for d in ("i2t", "t2i") for k in (1, 5, 10)])
     assert report.subsets[0]["source"] == subset_name
-    full = similarity_matrix(tiny_model, tiny_dataset, [0, 1, 2, 3],
-                             tiny_dataset.captions_of([0, 1, 2, 3]))
+    full = similarity_matrix(tiny_model, tiny_dataset, [0, 1, 2, 3])
     assert report.subsets[0] == {**subset_eval(tiny_dataset, full, [0, 1]),
                                  "source": subset_name}
     assert set(report.distances) == {"v_mr__t_rg", "v_m__t_g", "v_r__v_mr",

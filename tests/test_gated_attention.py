@@ -26,7 +26,8 @@ def test_gated_attention_matches_oracle(seed):
     register_ga_params(reg, "ga", D, HEADS)
     vals = {n: t.data for n, t in reg.tensors().items()}
     x = rows(seed + 100, n=3 + seed % 3)
-    got = gated_self_attention(ag.constant(x), reg, "ga", HEADS)
+    got = gated_self_attention(ag.constant(x), reg, "ga", HEADS,
+                               ag.Packing([len(x)]))
     assert np.allclose(got.data, oracles.gated_attention(x, vals, "ga", HEADS),
                        atol=1e-12)
 
@@ -36,7 +37,7 @@ def test_gated_attention_single_head_matches_oracle():
     register_ga_params(reg, "ga", D, 1)
     vals = {n: t.data for n, t in reg.tensors().items()}
     x = rows(55)
-    got = gated_self_attention(ag.constant(x), reg, "ga", 1)
+    got = gated_self_attention(ag.constant(x), reg, "ga", 1, ag.Packing([4]))
     assert np.allclose(got.data, oracles.gated_attention(x, vals, "ga", 1),
                        atol=1e-12)
 
@@ -45,7 +46,8 @@ def test_gated_attention_rejects_indivisible_heads():
     reg = ParamRegistry(0)
     register_ga_params(reg, "ga", D, HEADS)
     with pytest.raises(ag.DimensionError):
-        gated_self_attention(ag.constant(rows(1)), reg, "ga", 3)
+        gated_self_attention(ag.constant(rows(1)), reg, "ga", 3,
+                             ag.Packing([4]))
 
 
 def test_attention_rows_are_convex_mixes_of_values():
@@ -56,7 +58,8 @@ def test_attention_rows_are_convex_mixes_of_values():
     vals = {n: t.data for n, t in reg.tensors().items()}
     x = rows(80, n=5)
     v = x @ vals["ga.h0.w_v"] + vals["ga.h0.b_v"]
-    out = gated_self_attention(ag.constant(x), reg, "ga", 1).data
+    out = gated_self_attention(ag.constant(x), reg, "ga", 1,
+                               ag.Packing([5])).data
     eps = 1e-12
     assert np.all(out <= v.max(axis=0) + eps)
     assert np.all(out >= v.min(axis=0) - eps)
@@ -94,7 +97,8 @@ def test_a_caption_attends_alike_alone_and_among_longer_captions():
     p, x, captions = _chunk(40, LENGTHS)
     got = gated_self_attention(ag.constant(x), reg, "ga", HEADS, p).data
     for i, cap in enumerate(captions):
-        alone = gated_self_attention(ag.constant(cap), reg, "ga", HEADS).data
+        alone = gated_self_attention(ag.constant(cap), reg, "ga", HEADS,
+                                     ag.Packing([len(cap)])).data
         assert np.allclose(got[p.offsets[:len(cap)] + i], alone,
                            rtol=0.0, atol=1e-12)
 
@@ -149,7 +153,7 @@ def fresh_dtga(seed):
 def test_dtga_matches_oracle(seed):
     reg, vals = fresh_dtga(seed)
     a, b = rows(seed + 200, n=4), rows(seed + 300, n=4)
-    got = dtga(ag.constant(a), ag.constant(b), reg, HEADS)
+    got = dtga(ag.constant(a), ag.constant(b), reg, HEADS, ag.Packing([4]))
     assert np.allclose(got.data, oracles.dtga(a, b, vals, HEADS), atol=1e-12)
 
 
@@ -171,8 +175,9 @@ def test_dtga_symmetric_branches_commute():
         if name.startswith("dtga.fwd."):
             reg[name.replace("dtga.fwd.", "dtga.bwd.")].data = vals[name].copy()
     a, b = rows(31), rows(32)
-    ab = dtga(ag.constant(a), ag.constant(b), reg, HEADS)
-    ba = dtga(ag.constant(b), ag.constant(a), reg, HEADS)
+    one = ag.Packing([4])
+    ab = dtga(ag.constant(a), ag.constant(b), reg, HEADS, one)
+    ba = dtga(ag.constant(b), ag.constant(a), reg, HEADS, one)
     assert np.allclose(ab.data, ba.data, atol=1e-12)
 
 
@@ -195,12 +200,13 @@ def test_word_features_disabled_is_plain_average():
     reg, _ = fresh_dtga(6)
     f, b = rows(61), rows(62)
     out = word_features(ag.constant(f), ag.constant(b), reg, HEADS,
-                        mode="fb", disabled=True)
+                        mode="fb", disabled=True, packing=ag.Packing([4]))
     assert np.array_equal(out.data, (f + b) / 2.0)
 
 
 def test_word_features_enabled_routes_by_mode():
     reg, vals = fresh_dtga(7)
     f, b = rows(71), rows(72)
-    got = word_features(ag.constant(f), ag.constant(b), reg, HEADS, mode="bb")
+    got = word_features(ag.constant(f), ag.constant(b), reg, HEADS,
+                        mode="bb", disabled=False, packing=ag.Packing([4]))
     assert np.allclose(got.data, oracles.dtga(b, b, vals, HEADS), atol=1e-12)

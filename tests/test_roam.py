@@ -151,11 +151,11 @@ def test_iga_guide_rejects_matrices(d):
     reg, _ = iga_registry(0, "nonlinear", d)
     two, three = ag.constant(rows(0, 2, d)), ag.constant(rows(1, 3, d))
     with pytest.raises(ag.DimensionError):
-        iga_pair_rows(two, three, reg)
+        iga_pair_rows(two, three, reg, "nonlinear")
     with pytest.raises(ag.DimensionError):
-        iga_scores(three, two, three, reg)
+        iga_scores(three, two, three, reg, "nonlinear")
     with pytest.raises(ag.DimensionError):  # each image a run of 3 rows
-        iga_scores(two, ag.constant(rows(2, 6, d)), three, reg)
+        iga_scores(two, ag.constant(rows(2, 6, d)), three, reg, "nonlinear")
 
 
 def test_batched_guidance_equals_per_pair_guidance():
@@ -259,10 +259,10 @@ def test_a_block_of_the_grid_is_the_grid_of_that_block():
     reg, _ = guidance_params(5, "nonlinear")
     v_mr, v_r, t_g = rows(50, 6), rows(51, 6), rows(52, 5)
     grid = iga_scores(ag.constant(v_mr), ag.constant(v_r), ag.constant(t_g),
-                      reg).data
+                      reg, "nonlinear").data
     picked, texts = [4, 0, 5], [3, 1]
     block = iga_scores(ag.constant(v_mr[picked]), ag.constant(v_r[picked]),
-                       ag.constant(t_g[texts]), reg).data
+                       ag.constant(t_g[texts]), reg, "nonlinear").data
     assert np.allclose(block, grid[np.ix_(picked, texts)], rtol=0, atol=1e-12)
 
 

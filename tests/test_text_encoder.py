@@ -40,7 +40,7 @@ def test_embed_tokens_rejects_bad_ids():
 def test_bigru_rejects_wrong_width():
     reg, _ = fresh(0)
     with pytest.raises(ag.DimensionError):
-        bigru(ag.constant(np.zeros((3, 10))), reg)
+        bigru(ag.constant(np.zeros((3, 10))), reg, ag.Packing([3]))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -48,7 +48,7 @@ def test_bigru_matches_oracle(seed):
     reg, vals = fresh(seed)
     rng = np.random.default_rng(seed + 500)
     e = rng.uniform(-1, 1, (4 + seed % 3, EMBED_DIM))
-    got = bigru(ag.constant(e), reg)
+    got = bigru(ag.constant(e), reg, ag.Packing([len(e)]))
     want_f, want_b = oracles.bigru(e, vals)
     assert np.allclose(got.forward.data, want_f, atol=1e-12)
     assert np.allclose(got.backward.data, want_b, atol=1e-12)
@@ -65,8 +65,9 @@ def test_backward_direction_is_a_reversed_forward_scan():
                 vals_a[f"text.gru.bwd.{kind}_{gate}"].copy()
     rng = np.random.default_rng(7)
     e = rng.uniform(-1, 1, (5, EMBED_DIM))
-    backward = bigru(ag.constant(e), reg_a).backward.data
-    flipped = bigru(ag.constant(e[::-1].copy()), reg_b).forward.data
+    one = ag.Packing([5])
+    backward = bigru(ag.constant(e), reg_a, one).backward.data
+    flipped = bigru(ag.constant(e[::-1].copy()), reg_b, one).forward.data
     assert np.allclose(backward, flipped[::-1], atol=1e-12)
 
 
@@ -79,14 +80,14 @@ def test_single_token_directions_agree():
             reg[f"text.gru.bwd.{kind}_{gate}"].data = \
                 vals[f"text.gru.fwd.{kind}_{gate}"].copy()
     e = np.random.default_rng(0).uniform(-1, 1, (1, EMBED_DIM))
-    states = bigru(ag.constant(e), reg)
+    states = bigru(ag.constant(e), reg, ag.Packing([1]))
     assert np.allclose(states.forward.data, states.backward.data, atol=1e-12)
 
 
 def test_gradients_flow_to_every_gate():
     reg, _ = fresh(4)
     e = np.random.default_rng(1).uniform(-1, 1, (3, EMBED_DIM))
-    states = bigru(ag.constant(e), reg)
+    states = bigru(ag.constant(e), reg, ag.Packing([3]))
     ag.reduce_sum(ag.add(states.forward, states.backward)).backward()
     for name, t in reg.tensors().items():
         assert t.grad is not None, name

@@ -132,9 +132,7 @@ def test_restored_model_reproduces_best_validation_score(run, tiny_dataset):
     ckpt = load_checkpoint(result.checkpoint_path)
     model = model_from_checkpoint(ckpt, tiny_dataset)
     split = split_dataset(tiny_dataset, ckpt.cfg.val_fraction, ckpt.cfg.seed)
-    captions = [k for k, rec in enumerate(tiny_dataset.captions)
-                if rec.image_index in set(split.val_images)]
-    sim = similarity_matrix(model, tiny_dataset, split.val_images, captions)
+    sim = similarity_matrix(model, tiny_dataset, split.val_images)
     assert recall_block(sim)["mr"] == result.best_val_mr
 
 
@@ -170,9 +168,7 @@ def test_validation_split_training(tiny_dataset, tmp_path):
     assert len(split.val_images) == 2
     ckpt = load_checkpoint(result.checkpoint_path)
     model = model_from_checkpoint(ckpt, tiny_dataset)
-    captions = [k for k, rec in enumerate(tiny_dataset.captions)
-                if rec.image_index in set(split.val_images)]
-    sim = similarity_matrix(model, tiny_dataset, split.val_images, captions)
+    sim = similarity_matrix(model, tiny_dataset, split.val_images)
     assert recall_block(sim)["mr"] == result.best_val_mr
 
 
