@@ -9,24 +9,19 @@ the three losses and every parameter gradient, by name, in registry
 order.  Two trees that print the same digest compute the training step
 bit for bit alike.
 
-The BLAS thread variables default to 1 before NumPy is imported, since
-the digest differs between thread counts; a variable already set in the
-environment is kept.
+The digest differs between BLAS thread counts.  Importing ``dove``
+first, before NumPy, sets the BLAS thread variables to 1; a variable
+already set in the environment is kept.
 
     python3 scripts/grad_hash.py
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import hashlib  # noqa: E402
-import itertools  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
+import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 

@@ -110,8 +110,17 @@ def _load_split(args):
 
 
 def cmd_eval(args) -> int:
+    # a subset is named by its file's base name, so the report's bytes do
+    # not depend on the directory the path was spelled from
+    paths = args.subset or []
+    names = [os.path.basename(path) for path in paths]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ValueError(f"--subset files must differ in base name; "
+                         f"{', '.join(shared)} is given more than once")
     ds, model, images = _load_split(args)
-    subsets = [(path, load_subset_file(path)) for path in args.subset or ()]
+    subsets = [(name, load_subset_file(path))
+               for name, path in zip(names, paths)]
     report = build_report(model, ds, images, args.split, subsets,
                           with_distances=not args.no_distances)
     sys.stdout.write(render_table(report))

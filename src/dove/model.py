@@ -13,9 +13,23 @@ builds only the final one, with ``Model.final_scores``):
 where T_RG(i, j) is the guidance output for that specific pair.  The
 final grid is one graph node, ``autograd.guided_scores``, which never
 holds the N x M x d guided rows at once.
+
+Both encoders cut their inputs into chunks of ``CHUNK`` and hand them to
+``_map_chunks``, which runs them on worker threads, one per usable CPU,
+when the model is at least ``PARALLEL_MIN_WIDTH`` wide, and in the
+calling thread otherwise.  NumPy releases the GIL in BLAS and large
+ufuncs, so wide chunks overlap.  A chunk's codes are a pure function of
+its inputs and the parameters, and the chunks are joined in chunk order,
+so codes, gradients, checkpoints and reports do not depend on the worker
+count, bit for bit.  Evaluation and the training forward take the same
+path; the backward stays one serial walk.  Workers only read the
+parameters and the process-global ``no_grad`` flag; they never enter or
+leave ``no_grad``.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +48,9 @@ from .params import ParamRegistry
 # images or captions per batch in ``Model.encode_images`` and
 # ``Model.encode_captions``
 CHUNK = 32
+# narrower models run their chunks in the calling thread: at d=64 a
+# chunk's many small NumPy calls contend for the GIL, and workers lose
+PARALLEL_MIN_WIDTH = 128
 
 
 @dataclass
@@ -42,6 +59,30 @@ class ImageCodes:
     v_m: Tensor    # (n, d) multiscale codes
     v_r: Tensor    # (n, d) region codes
     v_mr: Tensor   # (n, d) fused codes
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, n: int, d: int) -> list:
+    """``[fn(start) for start in range(0, n, CHUNK)]``, in chunk order.
+
+    The chunks run on min(chunks, usable CPUs) worker threads from a pool
+    that lives for this call only; with one worker, or below
+    ``PARALLEL_MIN_WIDTH`` model width ``d``, they run in the calling
+    thread.  The first chunk to raise, in chunk order, raises here.
+    """
+    starts = range(0, n, CHUNK)
+    workers = min(len(starts), _usable_cpus())
+    if workers <= 1 or d < PARALLEL_MIN_WIDTH:
+        return [fn(start) for start in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts))
 
 
 def _canonical(rows) -> np.ndarray:
@@ -91,11 +132,13 @@ class Model:
         bit.  Images are encoded in chunks of ``CHUNK``, each one as
         image-major 2-D rows through projection and fusion; images of
         unequal row counts raise.  An image's code does not depend on its
-        chunk-mates.
+        chunk-mates.  At ``PARALLEL_MIN_WIDTH`` or wider the chunks run on
+        worker threads (``_map_chunks``) and join in chunk order, so the
+        codes are the same bits at any worker count.
         """
         pairs = list(zip(msv, roi, strict=True))
-        codes = ([], [], [])
-        for start in range(0, len(pairs), CHUNK):
+
+        def encode(start):
             chunk = pairs[start:start + CHUNK]
             m_v = np.stack([_canonical(m) for m, _ in chunk])
             r_v = np.stack([_canonical(r) for _, r in chunk])
@@ -105,9 +148,13 @@ class Model:
                 r_v.reshape(-1, r_v.shape[2])), self.reg)
             f_mr = roam.fuse_visual(f_m, f_r, self.reg, len(chunk),
                                     self.cfg.ifa_head, disabled=self.cfg.no_ifa)
-            for rows, f in zip(codes, (f_m, f_r, f_mr)):
-                rows.append(ag.mean_rows(f, f.shape[0] // len(chunk)))
-        return ImageCodes(*(ag.concat(*rows) for rows in codes))
+            return [ag.mean_rows(f, f.shape[0] // len(chunk))
+                    for f in (f_m, f_r, f_mr)]
+
+        chunks = _map_chunks(encode, len(pairs), self.cfg.d)
+        # no images leaves each field no parts, and concat raises
+        return ImageCodes(*(ag.concat(*(codes[k] for codes in chunks))
+                            for k in range(3)))
 
     def encode_captions(self, token_lists: list[list[int]]) -> Tensor:
         """(n, d) T_G rows, one per caption, in the order given.
@@ -119,14 +166,17 @@ class Model:
         is the mean over a caption's tokens: one product of the packing's
         (b, N) averaging matrix with the chunk's word features.  A
         caption's code does not depend on its chunk-mates beyond the last
-        bits of the batched products.
+        bits of the batched products.  At ``PARALLEL_MIN_WIDTH`` or wider
+        the chunks run on worker threads (``_map_chunks``); chunk makeup,
+        their order and the join do not depend on the worker count, and
+        neither do the codes' bits.
         """
         by_length = sorted(range(len(token_lists)),
                            key=lambda i: len(token_lists[i]))
         order = [i for start in range(0, len(by_length), CHUNK)
                  for i in reversed(by_length[start:start + CHUNK])]
-        chunks = []
-        for start in range(0, len(order), CHUNK):
+
+        def encode(start):
             e, packing = te.embed_captions(
                 [token_lists[i] for i in order[start:start + CHUNK]],
                 self.embedding)
@@ -134,7 +184,9 @@ class Model:
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
                                    self.cfg.heads, mode=self.cfg.dtga_inputs,
                                    disabled=self.cfg.no_dtga, packing=packing)
-            chunks.append(ag.matmul(ag.constant(packing.averaging), f_g))
+            return ag.matmul(ag.constant(packing.averaging), f_g)
+
+        chunks = _map_chunks(encode, len(order), self.cfg.d)
         # the inverse permutation puts caption j's code in row j
         return ag.take_rows(ag.concat(*chunks), np.argsort(order))
 

@@ -240,7 +240,7 @@ def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "split=all images=6 texts=30" in stdout
     assert "full" in stdout
-    assert f"subset[{subset_file}]" in stdout
+    assert "subset[half.txt]" in stdout
 
     payload = json.loads(report_path.read_text(encoding="utf-8"))
     assert payload["report_version"] == 1
@@ -248,7 +248,40 @@ def test_eval_writes_table_and_report(workspace, tmp_path, capsys):
     assert set(payload["full"]) == {"r1_i2t", "r5_i2t", "r10_i2t",
                                     "r1_t2i", "r5_t2i", "r10_t2i", "mr"}
     assert payload["subsets"][0]["n_images"] == 3
+    assert payload["subsets"][0]["source"] == "half.txt"
     assert payload["distances"]  # present unless --no-distances
+
+
+def test_eval_bytes_do_not_depend_on_how_the_subset_path_is_spelled(
+        workspace, tmp_path, monkeypatch, capsys):
+    data, run = workspace
+    (tmp_path / "half.txt").write_text("0\n1\n2\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for spelled in ("half.txt", str(tmp_path / "half.txt")):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--data", str(data), "--subset", spelled,
+                     "--out", "report.json"]) == 0
+        outputs.append((capsys.readouterr().out,
+                        (tmp_path / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_subsets_sharing_a_base_name_are_a_usage_error(workspace, tmp_path,
+                                                       capsys):
+    data, run = workspace
+    paths = [tmp_path / "a" / "half.txt", tmp_path / "b" / "half.txt"]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text("0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data), "--subset", str(paths[0]),
+                 "--subset", str(paths[1])]) == 2
+    captured = capsys.readouterr()
+    assert "half.txt is given more than once" in captured.err
+    assert captured.out == ""
 
 
 def test_subset_without_captions_is_a_usage_error(workspace, tmp_path,
