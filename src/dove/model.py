@@ -75,14 +75,18 @@ def _map_chunks(fn, n: int, d: int) -> list:
     The chunks run on min(chunks, usable CPUs) worker threads from a pool
     that lives for this call only; with one worker, or below
     ``PARALLEL_MIN_WIDTH`` model width ``d``, they run in the calling
-    thread.  The first chunk to raise, in chunk order, raises here.
+    thread.  The first chunk to raise, in chunk order, raises here, once
+    the chunks already running end; chunks not yet started are dropped.
     """
     starts = range(0, n, CHUNK)
     workers = min(len(starts), _usable_cpus())
     if workers <= 1 or d < PARALLEL_MIN_WIDTH:
         return [fn(start) for start in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         return list(pool.map(fn, starts))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _canonical(rows) -> np.ndarray:

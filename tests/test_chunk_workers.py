@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dove import model as model_module
+from dove import text_encoder as te
 from dove.autograd import DimensionError
 from dove.batching import Batch
 from dove.cli import main
@@ -196,9 +198,34 @@ def test_an_error_in_the_last_chunk_reaches_the_caller(workers):
     assert set(threading.enumerate()) <= before
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_no_inputs_still_raise_dimension_error(workers, cpus):
-    workers.set(cpus)
+def test_an_error_in_the_first_chunk_drops_the_chunks_not_started(
+        workers, monkeypatch):
+    # a one-token caption sorts into the first chunk; every other chunk
+    # sleeps before it encodes, so two workers start only a few of the
+    # sixteen before the error reaches the caller
+    bad = [VOCAB + 7]
+    captions = _captions(7, 16 * CHUNK - 1) + [bad]
+    started = []
+    embed = te.embed_captions
+
+    def slow_embed(token_lists, table):
+        started.append(bad in token_lists)
+        if bad not in token_lists:
+            time.sleep(0.05)
+        return embed(token_lists, table)
+
+    monkeypatch.setattr(te, "embed_captions", slow_embed)
+    model = _model()
+    before = set(threading.enumerate())
+    workers.set(2)
+    with pytest.raises(TokenError):
+        _bounded(lambda: model.encode_captions(captions))
+    assert any(started) and len(started) <= 4
+    assert workers.pools == [2]
+    assert set(threading.enumerate()) <= before
+
+
+def test_no_inputs_still_raise_dimension_error():
     model = _model()
     with pytest.raises(DimensionError):
         model.encode_captions([])
