@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""One SHA-256 over the losses and parameter gradients of 64 batches.
+"""One SHA-256 over the losses and parameter gradients of 65 batches.
 
 Each configuration builds a fresh model and runs one ``batch_losses``
 forward and backward on one batch of a small synthetic corpus: d/B in
 {64/8, 32/3}, times the four IFA x IGA head pairs, times the ablations
-{none, no_iga, no_ifa, no_dtga}, times seeds {1, 2}.  The digest covers
+{none, no_iga, no_ifa, no_dtga}, times seeds {1, 2}, over 16 images.
+One more, d/B 128/40 with both heads nonlinear over 40 images, has two
+chunks of images and of captions at ``model.PARALLEL_MIN_WIDTH``, so its
+encoders run their chunks on worker threads.  The digest covers
 the three losses and every parameter gradient, by name, in registry
 order.  Two trees that print the same digest compute the training step
 bit for bit alike.
@@ -35,33 +38,46 @@ SHAPES = ((64, 8), (32, 3))
 HEADS = ("linear", "nonlinear")
 ABLATIONS = (None, "no_iga", "no_ifa", "no_dtga")
 SEEDS = (1, 2)
+WIDE = dict(d=128, b=40, ifa="nonlinear", iga="nonlinear", ablation=None,
+            seed=1)
+
+
+def corpus(n_images: int):
+    with tempfile.TemporaryDirectory() as data_dir:
+        write_dataset(synth_dataset(seed=1, n_images=n_images, n_clusters=4,
+                                    d_in=64, d_r=32), data_dir)
+        return load_dataset(data_dir)
+
+
+def update(digest, ds, d, b, ifa, iga, ablation, seed):
+    """Add one configuration's losses and gradients to ``digest``."""
+    cfg = TrainConfig(d=d, heads=2, batch_size=b, seed=seed,
+                      ifa_head=ifa, iga_head=iga)
+    if ablation:
+        setattr(cfg, ablation, True)
+    model = Model(cfg, ds.embedding)
+    model.bind_feature_widths(ds.msv.shape[2], ds.roi.shape[2])
+    pairs = ds.captions_of(range(ds.n_images))
+    batch = gather_batch(ds, training_batches(ds, pairs, b, seed, 0)[0])
+    losses = model.batch_losses(batch)
+    losses[0].backward()
+    for loss in losses:
+        digest.update(loss.data.tobytes())
+    for name, t in model.reg.tensors().items():
+        digest.update(name.encode())
+        digest.update(b"-" if t.grad is None else t.grad.tobytes())
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as data_dir:
-        write_dataset(synth_dataset(seed=1, n_images=16, n_clusters=4,
-                                    d_in=64, d_r=32), data_dir)
-        ds = load_dataset(data_dir)
-    pairs = ds.captions_of(range(ds.n_images))
+    ds = corpus(16)
     digest = hashlib.sha256()
     runs = 0
     for (d, b), ifa, iga, ablation, seed in itertools.product(
             SHAPES, HEADS, HEADS, ABLATIONS, SEEDS):
-        cfg = TrainConfig(d=d, heads=2, batch_size=b, seed=seed,
-                          ifa_head=ifa, iga_head=iga)
-        if ablation:
-            setattr(cfg, ablation, True)
-        model = Model(cfg, ds.embedding)
-        model.bind_feature_widths(ds.msv.shape[2], ds.roi.shape[2])
-        batch = gather_batch(ds, training_batches(ds, pairs, b, seed, 0)[0])
-        losses = model.batch_losses(batch)
-        losses[0].backward()
-        for loss in losses:
-            digest.update(loss.data.tobytes())
-        for name, t in model.reg.tensors().items():
-            digest.update(name.encode())
-            digest.update(b"-" if t.grad is None else t.grad.tobytes())
+        update(digest, ds, d, b, ifa, iga, ablation, seed)
         runs += 1
+    update(digest, corpus(WIDE["b"]), **WIDE)
+    runs += 1
     print(f"{runs} configurations  sha256 {digest.hexdigest()}")
     return 0
 

@@ -26,6 +26,10 @@ into a (b, T, n) batch and packs them back, takes the softmax over each
 sequence's real keys, and holds the averaging matrix whose product with
 the packed rows is each sequence's mean row.
 
+``mlp`` (the one two-layer map, with a residual or a sigmoid tail) and
+``cosine_grid`` are one node each.  ``unit_rows`` gives unit rows and
+norms as plain values; it builds no graph and is not in ``__all__``.
+
 ``guided_scores`` is the model's final grid, cos(v_mr_i, T_RG(i, j))
 for every image and caption, as one node: it guides the images a block
 at a time and keeps only (N, M) arrays for its backward, which
@@ -48,11 +52,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
-    "no_grad", "constant", "matmul", "transpose", "take_rows", "add", "mul",
-    "affine",
-    "sigmoid", "relu", "mean_rows", "reduce_sum", "concat",
-    "normalize_rows", "gru_scan", "gated_attention", "cross_rows",
-    "guided_scores", "triplet_hinge", "grad_check",
+    "no_grad", "constant", "matmul", "take_rows", "add", "mul", "affine",
+    "mlp", "mean_rows", "reduce_sum", "concat", "cosine_grid", "gru_scan",
+    "gated_attention", "cross_rows", "guided_scores", "triplet_hinge",
+    "grad_check",
 ]
 
 
@@ -231,18 +234,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    """The transpose of a rank-2 tensor."""
-    if a.data.ndim != 2:
-        raise DimensionError("transpose expects a rank-2 tensor")
-    out = _result(a.data.T.copy(), (a,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(a, g.T)
-        out._bw = bw
-    return out
-
-
 def take_rows(a: Tensor, index) -> Tensor:
     """Rows ``index`` of a rank-2 tensor, in that order: (len(index), n)."""
     index = np.asarray(index, dtype=np.intp)
@@ -411,25 +402,46 @@ def _sigmoid_values(d: np.ndarray) -> np.ndarray:
     return np.where(d >= 0, 1.0 / p, e / p)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_values(x.data)
-    out = _result(y, (x,))
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        tail: str) -> Tensor:
+    """relu(x W1 + b1) W2 + b2 over (m, d) rows, then a "residual" tail
+    adds x or a "sigmoid" tail squashes it, as one graph node.
+
+    The node keeps only the rectified layer H.  Its backward works in
+    place: dY = G (or G y (1 - y)), dH = dY W2^T where H > 0, and
+    dx = dH W1^T (+ G for the residual) in H's buffer."""
+    if tail not in ("residual", "sigmoid"):
+        raise ValueError(f"unknown mlp tail {tail!r}")
+    d = x.data.shape[-1]
+    shapes = [t.data.shape for t in (w1, b1, w2, b2)]
+    if x.data.ndim != 2 or shapes != [(d, d), (d,)] * 2:
+        raise DimensionError(f"mlp expects (m, {d}) rows and ({d}, {d}) maps")
+    h = np.maximum(x.data @ w1.data + b1.data, 0.0)
+    y = h @ w2.data + b2.data
+    y = y + x.data if tail == "residual" else _sigmoid_values(y)
+    out = _result(y, (x, w1, b1, w2, b2))
     if out.requires_grad:
         def bw(g):
-            _acc(x, g * y * (1.0 - y))
+            if tail == "sigmoid":
+                g *= y
+                g *= 1.0 - y
+            grads = [(w2, h.T @ g), (b2, g.sum(axis=0))]
+            dh = g @ w2.data.T
+            dh *= h > 0.0
+            grads += [(w1, x.data.T @ dh), (b1, dh.sum(axis=0))]
+            if x.requires_grad:
+                dx = np.matmul(dh, w1.data.T, out=h)  # H is spent
+                if tail == "residual":
+                    dx += g
+                grads.append((x, dx))
+            for t, grad in grads:
+                if t.requires_grad:
+                    _acc(t, grad)
         out._bw = bw
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    y = np.maximum(x.data, 0.0)
-    out = _result(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            _acc(x, g * (x.data > 0.0))
-        out._bw = bw
-    return out
-
+# ------------------------------------------------------------------ cosines
 
 def _near_zero(norms: np.ndarray) -> np.ndarray:
     """Where ``norms`` are too small to divide by: the engine's one test
@@ -437,20 +449,33 @@ def _near_zero(norms: np.ndarray) -> np.ndarray:
     return norms < 1e-12
 
 
-def normalize_rows(x: Tensor) -> Tensor:
-    """Each row divided by its Euclidean norm; rejects near-zero rows."""
-    if x.data.ndim != 2:
-        raise DimensionError("normalize_rows expects a rank-2 tensor")
-    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / |x|, |x|) of an array's rows, values only; a near-zero row
+    raises ``DegenerateVectorError`` with its index."""
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     bad = _near_zero(norms[:, 0])
     if bad.any():
         raise DegenerateVectorError(int(np.argmax(bad)))
-    y = x.data / norms
-    out = _result(y, (x,))
+    return x / norms, norms
+
+
+def cosine_grid(a: Tensor, b: Tensor) -> Tensor:
+    """(m, n) cosines of the rows of a (m, d) and b (n, d), one node that
+    keeps both sets of unit rows and norms.  A near-zero row raises
+    ``DegenerateVectorError`` with its row, a's rows checked first."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+        raise DimensionError(f"cosine_grid expects two (., d) operands, got "
+                             f"{a.data.shape} and {b.data.shape}")
+    (ua, na), (ub, nb) = unit_rows(a.data), unit_rows(b.data)
+    ub_t = ub.T.copy()  # contiguous: a product's bits can depend on layout
+    out = _result(ua @ ub_t, (a, b))
     if out.requires_grad:
         def bw(g):
-            inner = (g * y).sum(axis=1, keepdims=True)
-            _acc(x, (g - inner * y) / norms)
+            # through each x / |x|: (dU - <dU, U> U) / |x|, row by row
+            for t, du, u, n in ((a, g @ ub_t.T, ua, na),
+                                (b, (ua.T @ g).T, ub, nb)):
+                if t.requires_grad:
+                    _acc(t, (du - (du * u).sum(axis=1, keepdims=True) * u) / n)
         out._bw = bw
     return out
 
@@ -631,8 +656,8 @@ def cross_rows(f_m: Tensor, f_r: Tensor, images: int) -> Tensor:
                              f"{images} images, got {shapes}")
     d, n_m = shapes[0][1], shapes[0][0] // images
     fm, fr = (t.data.reshape(images, -1, d) for t in (f_m, f_r))
-    # contiguous transposes, as ``transpose`` makes: a product's last
-    # bits can depend on its operands' layout
+    # contiguous transposes: a product's last bits can depend on its
+    # operands' layout
     s = _sigmoid_values(fm @ _swap(fr).copy())
     rows = np.concatenate([fm, fr], axis=1)
     rows[:, :n_m] += s @ fr

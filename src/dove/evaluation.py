@@ -30,7 +30,7 @@ class DegenerateEmbeddingError(ValueError):
 
 def _unit_rows(rows: np.ndarray, kind: str, ids: list[int]) -> np.ndarray:
     try:
-        return ag.normalize_rows(ag.constant(rows)).data
+        return ag.unit_rows(rows)[0]
     except ag.DegenerateVectorError as exc:
         raise DegenerateEmbeddingError(
             f"{kind} {ids[exc.row]} has a near-zero embedding") from None

@@ -72,7 +72,7 @@ def _branch(x: Tensor, y: Tensor, reg: ParamRegistry, prefix: str,
                                            heads, packing), x)
     probe = gated_self_attention(y, reg, f"{prefix}.probe_attn", heads,
                                  packing)
-    return ag.mul(enhanced, ag.sigmoid(two_layer(probe, reg, f"{prefix}.prob")))
+    return ag.mul(enhanced, two_layer(probe, reg, f"{prefix}.prob", "sigmoid"))
 
 
 def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
@@ -80,7 +80,7 @@ def dtga(a: Tensor, b: Tensor, reg: ParamRegistry, heads: int,
     """Dual-branch enhancement of the input pair (a, b): the output rows."""
     combined = ag.add(_branch(a, b, reg, "dtga.fwd", heads, packing),
                       _branch(b, a, reg, "dtga.bwd", heads, packing))
-    return ag.add(two_layer(combined, reg, "dtga.decode"), combined)
+    return two_layer(combined, reg, "dtga.decode", "residual")
 
 
 def select_inputs(h_forward: Tensor, h_backward: Tensor,

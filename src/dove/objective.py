@@ -15,11 +15,11 @@ from .autograd import Tensor
 
 
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosines between rows of a (m, d) and rows of b (n, d).
+    """Pairwise cosines between rows of a (m, d) and b (n, d), one node.
 
     Raises DegenerateVectorError when a row has near-zero norm.
     """
-    return ag.matmul(ag.normalize_rows(a), ag.transpose(ag.normalize_rows(b)))
+    return ag.cosine_grid(a, b)
 
 
 def triplet_loss(s: Tensor, alpha: float) -> Tensor:

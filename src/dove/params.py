@@ -7,12 +7,12 @@ register parameters can never shift another entry's initialization.  A
 registry restoring a checkpoint takes each value from the checkpoint at
 registration and draws nothing.
 
-``two_layer`` is the one two-layer map the model builds from registry
-entries: the nonlinear fusion head, the multiscale projection, and the
-gated text enhancer's probe and decoder.  The nonlinear guidance head
-registers its entries through ``register_two_layer`` too, but
-``autograd.guided_scores`` applies that map from the head's arrays
-inside the grid node.
+``two_layer`` is the model's one two-layer map from registry entries, one
+``autograd.mlp`` node: with a residual it is the nonlinear fusion head,
+the multiscale projection and the text enhancer's decoder, with a
+sigmoid the enhancer's probes.  The nonlinear guidance head registers
+its entries through ``register_two_layer`` too, but
+``autograd.guided_scores`` applies that map inside the grid node.
 """
 from __future__ import annotations
 
@@ -104,7 +104,7 @@ def register_two_layer(reg: ParamRegistry, prefix: str, d: int):
     reg.bias(f"{prefix}.b2", d)
 
 
-def two_layer(x: Tensor, reg: ParamRegistry, prefix: str) -> Tensor:
-    """relu(x W1 + b1) W2 + b2 with the entries ``prefix.w1`` .. ``prefix.b2``."""
-    h = ag.relu(ag.affine(x, reg[f"{prefix}.w1"], reg[f"{prefix}.b1"]))
-    return ag.affine(h, reg[f"{prefix}.w2"], reg[f"{prefix}.b2"])
+def two_layer(x: Tensor, reg: ParamRegistry, prefix: str, tail: str) -> Tensor:
+    """``autograd.mlp`` with the entries ``prefix.w1`` .. ``prefix.b2``."""
+    names = ("w1", "b1", "w2", "b2")
+    return ag.mlp(x, *(reg[f"{prefix}.{n}"] for n in names), tail)

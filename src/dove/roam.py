@@ -63,7 +63,7 @@ def register_iga_params(reg: ParamRegistry, d: int, head: str):
 def _head(x: Tensor, reg: ParamRegistry, prefix: str, head: str) -> Tensor:
     if head == "linear":
         return ag.affine(x, reg[f"{prefix}.w"], reg[f"{prefix}.b"])
-    return ag.add(two_layer(x, reg, prefix), x)
+    return two_layer(x, reg, prefix, "residual")
 
 
 def ifa_fuse(f_m: Tensor, f_r: Tensor, reg: ParamRegistry, images: int,

@@ -27,7 +27,7 @@ def msv_project(m_v: Tensor, reg: ParamRegistry) -> Tensor:
     x = m_v
     if "visual.msv.adapter.w" in reg:
         x = ag.affine(x, reg["visual.msv.adapter.w"], reg["visual.msv.adapter.b"])
-    return ag.add(two_layer(x, reg, "visual.msv.mlp"), x)
+    return two_layer(x, reg, "visual.msv.mlp", "residual")
 
 
 def roi_project(r_v: Tensor, reg: ParamRegistry) -> Tensor:

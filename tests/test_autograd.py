@@ -38,9 +38,17 @@ def test_matmul_hand_gradients():
     assert np.allclose(b.grad, [[1.0], [2.0]], atol=1e-12)
 
 
+def _identity_mlp(x, tail, w2=None):
+    """``mlp`` with identity maps (or ``w2`` second) and zero biases."""
+    x = _param(x)
+    eye, zero = _param(np.eye(x.shape[1])), _param(np.zeros(x.shape[1]))
+    return ag.mlp(x, eye, zero, eye if w2 is None else _param(w2), zero, tail)
+
+
 def test_activation_values():
-    assert ag.sigmoid(_param([0.0])).data[0] == 0.5
-    assert abs(ag.sigmoid(_param([math.log(3.0)])).data[0] - 0.75) < 1e-12
+    squashed = _identity_mlp([[0.0, math.log(3.0)]], "sigmoid").data
+    assert squashed[0, 0] == 0.5
+    assert abs(squashed[0, 1] - 0.75) < 1e-12
     # one GRU step from h = 0 is sigmoid(x_z) * tanh(x_h)
     zero, one = _param([[0.0]]), ag.Packing([1])
     assert ag.gru_scan(zero, zero, zero, zero, zero, zero, False,
@@ -48,7 +56,9 @@ def test_activation_values():
     half = ag.gru_scan(zero, zero, _param([[math.atanh(0.5)]]), zero, zero,
                        zero, False, one)
     assert abs(half.data[0, 0] - 0.25) < 1e-12
-    assert np.array_equal(ag.relu(_param([-2.0, 3.0])).data, [0.0, 3.0])
+    # relu([-2, 3]) = [0, 3], plus the residual
+    assert np.array_equal(_identity_mlp([[-2.0, 3.0]], "residual").data,
+                          [[-2.0, 6.0]])
 
 
 def _softmax(rows):
@@ -169,6 +179,52 @@ def test_operand_that_is_no_tensor_or_number_raises(op, operand):
         op(_param(np.ones(4)), operand)
 
 
+def _hand_mlp(tail, w2):
+    """x, the four maps and the summed output of a 2x2 ``mlp``, backward
+    done.  H = relu([[0, -1], [2, 0]] + 1/2) = [[1/2, 0], [5/2, 1/2]]."""
+    x, w1, b1 = (_param([[1.0, -1.0], [2.0, 0.0]]),
+                 _param([[1.0, 0.0], [1.0, 1.0]]), _param([0.5, 0.5]))
+    w2, b2 = _param(w2), _param([0.0, -1.0] if tail == "residual" else [0.0, 0.0])
+    out = ag.mlp(x, w1, b1, w2, b2, tail)
+    ag.reduce_sum(out).backward()
+    return out.data, [t.grad for t in (x, w1, b1, w2, b2)]
+
+
+def test_mlp_hand_values_and_gradients_under_the_residual():
+    # dH = 1 W2^T = [3, -1] per row, masked to [[3, 0], [3, -1]]
+    out, (dx, dw1, db1, dw2, db2) = _hand_mlp("residual",
+                                              [[1.0, 2.0], [0.0, -1.0]])
+    assert np.array_equal(out, [[1.5, -1.0], [4.5, 3.5]])
+    assert np.array_equal(dw2, [[3.0, 3.0], [0.5, 0.5]])
+    assert np.array_equal(db2, [2.0, 2.0])
+    assert np.array_equal(dw1, [[9.0, -2.0], [-3.0, 0.0]])
+    assert np.array_equal(db1, [6.0, -1.0])
+    assert np.array_equal(dx, [[4.0, 4.0], [4.0, 3.0]])  # dH W1^T + 1
+
+
+def test_mlp_hand_values_and_gradients_under_the_sigmoid():
+    # pre-sigmoid [[0, 0], [ln 3, 0]], so y = [[1/2, 1/2], [3/4, 1/2]] and
+    # dY = y (1 - y); dH = dY W2^T = [[0, ln 3 / 2], [0, 3 ln 3 / 8]],
+    # masked to [[0, 0], [0, 3 ln 3 / 8]]
+    ln3 = math.log(3.0)
+    out, (dx, dw1, db1, dw2, db2) = _hand_mlp("sigmoid",
+                                              [[0.0, 0.0], [2.0 * ln3, 0.0]])
+    assert np.allclose(out, [[0.5, 0.5], [0.75, 0.5]], rtol=0.0, atol=1e-12)
+    assert np.allclose(dw2, [[0.59375, 0.75], [0.09375, 0.125]], rtol=0.0,
+                       atol=1e-12)
+    assert np.allclose(db2, [0.4375, 0.5], rtol=0.0, atol=1e-12)
+    dh = 0.375 * ln3
+    assert np.allclose(dw1, [[0.0, 2.0 * dh], [0.0, 0.0]], rtol=0.0, atol=1e-12)
+    assert np.allclose(db1, [0.0, dh], rtol=0.0, atol=1e-12)
+    assert np.allclose(dx, [[0.0, 0.0], [0.0, dh]], rtol=0.0, atol=1e-12)
+
+
+def test_mlp_rejects_an_unknown_tail():
+    eye, zero = _param(np.eye(2)), _param(np.zeros(2))
+    with pytest.raises(ValueError, match="tail"):
+        ag.mlp(_param(np.ones((1, 2))), eye, zero, eye, zero, "relu")
+
+
 def test_triplet_hinge_hand_gradient_in_two_nodes():
     # by image, only (0, 1) is active (0.3); by text, both off-diagonal
     # entries are (0.1 each).  Each active term adds 1 at its negative and
@@ -285,9 +341,12 @@ def test_constructor_rejects_bad_input():
     assert Tensor(np.float64(3.0)).data.shape == (1,)
 
 
-def test_normalize_rows_rejects_zero_row():
-    with pytest.raises(DegenerateVectorError):
-        ag.normalize_rows(_param([[1.0, 2.0], [0.0, 0.0]]))
+def test_cosine_grid_rejects_zero_row():
+    rows, zero = _param([[1.0, 2.0], [3.0, 4.0]]), _param([[1.0, 2.0], [0.0, 0.0]])
+    for a, b in ((zero, rows), (rows, zero)):
+        with pytest.raises(DegenerateVectorError) as err:
+            ag.cosine_grid(a, b)
+        assert err.value.row == 1
 
 
 # ------------------------------------------------------- gradient verification
@@ -369,7 +428,10 @@ def test_mul_gradient_is_other_factor(seed):
 
 def test_bounded_ops_stay_finite():
     x = _param([[700.0, -700.0, 50.0]])
-    assert np.all(np.isfinite(ag.sigmoid(x).data))
+    # the sigmoid tail at +-700: the second map flips the middle column
+    squashed = _identity_mlp([[700.0, 700.0, 50.0]], "sigmoid",
+                             w2=np.diag([1.0, -1.0, 1.0]))
+    assert np.all(np.isfinite(squashed.data))
     assert np.all(np.isfinite(_softmax(x.data)))
     proj = _param([[700.0, -700.0, 50.0], [-700.0, 700.0, -50.0]])
     u = _param(np.full((3, 3), 700.0))

@@ -354,7 +354,7 @@ def test_report_never_normalises_v_m(tiny_model, tiny_dataset, monkeypatch):
     # V_M feeds only the global grid, which training ranks and eval does
     # not; only the distances (off here) compare it
     v_m, normalised = [], []
-    encode, normalize = Model.encode_images, ag.normalize_rows
+    encode, unit_rows = Model.encode_images, ag.unit_rows
 
     def keeping_v_m(self, msv, roi):
         codes = encode(self, msv, roi)
@@ -362,11 +362,11 @@ def test_report_never_normalises_v_m(tiny_model, tiny_dataset, monkeypatch):
         return codes
 
     def recording(x):
-        normalised.append(x.data.copy())
-        return normalize(x)
+        normalised.append(x.copy())
+        return unit_rows(x)
 
     monkeypatch.setattr(Model, "encode_images", keeping_v_m)
-    monkeypatch.setattr(ag, "normalize_rows", recording)
+    monkeypatch.setattr(ag, "unit_rows", recording)
     build_report(tiny_model, tiny_dataset, list(range(tiny_dataset.n_images)),
                  "all", [("half", [0, 2, 4])], with_distances=False)
     assert v_m and normalised

@@ -191,6 +191,39 @@ def test_caption_code_is_the_mean_of_its_real_word_features(
         assert np.allclose(t_g[j], rows.mean(axis=0), rtol=0.0, atol=1e-15)
 
 
+def test_a_desk_batch_builds_at_most_45_op_nodes():
+    # each two-layer map and each cosine grid is one node
+    from dove.batching import Batch
+    from dove.config import TrainConfig
+    from dove.model import Model
+    from dove.objective import cosine_matrix
+    from dove.params import two_layer
+
+    rng = np.random.default_rng(0)
+    d, b = 64, 8
+    model = Model(TrainConfig(d=d, heads=2, batch_size=b, seed=1),
+                  rng.uniform(-1, 1, (40, 300)))
+    model.bind_feature_widths(64, 32)
+    batch = Batch(msv=rng.uniform(-1, 1, (b, 4, 64)),
+                  roi=rng.uniform(-1, 1, (b, 36, 32)),
+                  captions=_ragged_captions(2, b, 40, 8),
+                  image_ids=list(range(b)), caption_ids=list(range(b)))
+    loss = model.batch_losses(batch)[0]
+    ops, seen, stack = 0, {id(loss)}, [loss]
+    while stack:
+        t = stack.pop()
+        ops += bool(t._parents)
+        for p in t._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert ops <= 45
+    x = ag.Tensor(rng.uniform(-1, 1, (3, d)), requires_grad=True)
+    for tail in ("residual", "sigmoid"):
+        assert two_layer(x, model.reg, "dtga.decode", tail)._parents[0] is x
+    assert cosine_matrix(x, x)._parents == (x, x)
+
+
 @pytest.mark.parametrize("overrides", [
     {}, {"ifa_head": "nonlinear"}, {"no_iga": True}, {"no_dtga": True}],
     ids=["default", "nonlinear_ifa", "no_iga", "no_dtga"])

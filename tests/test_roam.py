@@ -198,16 +198,31 @@ def head_of(reg, head):
     return [reg[f"iga.head.{n}"] for n in names]
 
 
+def reference_sigmoid(x):
+    """A sigmoid node of the test's own: 1 / (1 + e^-x), gradient y (1 - y)."""
+    y = 1.0 / (1.0 + np.exp(-x.data))
+    out = ag._result(y, (x,))
+    if out.requires_grad:
+        out._bw = lambda g: ag._acc(x, g * y * (1.0 - y))
+    return out
+
+
 def composed_grid(v_mr, f_r, f_g, head):
     """The final grid built from primitives, one image at a time."""
-    scores, widen = [], ag.constant(np.ones((1, f_g.data.shape[1])))
+    (m, d), scores = f_g.data.shape, []
+    widen = ag.constant(np.ones((1, d)))
     for i in range(v_mr.data.shape[0]):
-        gate = ag.sigmoid(ag.matmul(f_g, ag.transpose(ag.take_rows(f_r, [i]))))
+        # <f_g_j, f_r_i> for every j: f_r_i copied to M rows by a column
+        # of ones, times f_g, summed by a column of ones
+        rep = ag.matmul(ag.constant(np.ones((m, 1))), ag.take_rows(f_r, [i]))
+        gate = reference_sigmoid(ag.matmul(ag.mul(f_g, rep),
+                                           ag.constant(np.ones((d, 1)))))
         # 1 + g, an (M, 1) column, widened to f_g's (M, d) by a row of ones
         u = ag.mul(f_g, ag.matmul(ag.add(gate, 1.0), widen))
-        t_rg = ag.affine(u, head[0], head[1])
         if len(head) == 4:
-            t_rg = ag.add(ag.affine(ag.relu(t_rg), head[2], head[3]), u)
+            t_rg = ag.mlp(u, *head, "residual")
+        else:
+            t_rg = ag.affine(u, head[0], head[1])
         scores.append(cosine_matrix(ag.take_rows(v_mr, [i]), t_rg))
     return ag.concat(*scores)
 
