@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 over the losses and parameter gradients of 65 batches.
+"""One SHA-256 over 65 batches' gradients, one checkpoint and one report.
 
 Each configuration builds a fresh model and runs one ``batch_losses``
 forward and backward on one batch of a small synthetic corpus: d/B in
@@ -9,8 +9,11 @@ One more, d/B 128/40 with both heads nonlinear over 40 images, has two
 chunks of images and of captions at ``model.PARALLEL_MIN_WIDTH``, so its
 encoders run their chunks on worker threads.  The digest covers
 the three losses and every parameter gradient, by name, in registry
-order.  Two trees that print the same digest compute the training step
-bit for bit alike.
+order.  That last model then takes one Adam step, and the digest adds
+the bytes of its checkpoint and the JSON of its ``build_report`` over
+all 40 images, with distances and a subset of every other image.  Two
+trees that print the same digest compute the training step, write the
+checkpoint and score the report bit for bit alike.
 
 The digest differs between BLAS thread counts.  Importing ``dove``
 first, before NumPy, sets the BLAS thread variables to 1; a variable
@@ -31,8 +34,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from dove.batching import gather_batch, training_batches  # noqa: E402
 from dove.config import TrainConfig  # noqa: E402
 from dove.dataio import load_dataset  # noqa: E402
+from dove.evaluation import build_report  # noqa: E402
 from dove.model import Model  # noqa: E402
+from dove.optimizer import adam_step, init_adam  # noqa: E402
 from dove.synth import synth_dataset, write_dataset  # noqa: E402
+from dove.train import save_checkpoint  # noqa: E402
 
 SHAPES = ((64, 8), (32, 3))
 HEADS = ("linear", "nonlinear")
@@ -49,7 +55,7 @@ def corpus(n_images: int):
         return load_dataset(data_dir)
 
 
-def update(digest, ds, d, b, ifa, iga, ablation, seed):
+def update(digest, ds, d, b, ifa, iga, ablation, seed) -> Model:
     """Add one configuration's losses and gradients to ``digest``."""
     cfg = TrainConfig(d=d, heads=2, batch_size=b, seed=seed,
                       ifa_head=ifa, iga_head=iga)
@@ -66,6 +72,24 @@ def update(digest, ds, d, b, ifa, iga, ablation, seed):
     for name, t in model.reg.tensors().items():
         digest.update(name.encode())
         digest.update(b"-" if t.grad is None else t.grad.tobytes())
+    return model
+
+
+def update_outputs(digest, ds, model):
+    """Add the checkpoint after one Adam step, then the report, to ``digest``."""
+    state = init_adam(model.reg)
+    adam_step(model.reg, state, model.cfg.lr0)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "checkpoint.bin")
+        save_checkpoint(path, model.cfg, model.d_in, model.d_r,
+                        {n: t.data for n, t in model.reg.tensors().items()},
+                        state)
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    images = list(range(ds.n_images))
+    report = build_report(model, ds, images, "all", [("half", images[::2])],
+                          with_distances=True)
+    digest.update(report.to_json().encode())
 
 
 def main() -> int:
@@ -76,9 +100,11 @@ def main() -> int:
             SHAPES, HEADS, HEADS, ABLATIONS, SEEDS):
         update(digest, ds, d, b, ifa, iga, ablation, seed)
         runs += 1
-    update(digest, corpus(WIDE["b"]), **WIDE)
+    wide = corpus(WIDE["b"])
+    update_outputs(digest, wide, update(digest, wide, **WIDE))
     runs += 1
-    print(f"{runs} configurations  sha256 {digest.hexdigest()}")
+    print(f"{runs} configurations, a checkpoint and a report  "
+          f"sha256 {digest.hexdigest()}")
     return 0
 
 

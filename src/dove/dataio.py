@@ -6,7 +6,8 @@ A feature bank is a little-endian binary container:
     bytes 8..19  three uint32: n_samples, rows, cols (each at least 1)
     payload      n_samples*rows*cols float32, sample-major row-major
 
-Values are upcast to float64 on load.  Caption files are UTF-8 lines
+Banks stay float32 in memory; ``Model`` makes their values float64 as
+they enter the graph.  Caption files are UTF-8 lines
 ``<image_index>\\t<token token ...>``; vocabulary files are
 ``<token>\\t<id>`` with id 0 reserved for unknown tokens.  The embedding
 table reuses the bank container with rows=1 and cols=300.
@@ -67,8 +68,9 @@ def atomic_write(path: str, mode: str = "w"):
 
 
 def write_feature_bank(path: str, values: np.ndarray):
-    """Write an (n_samples, rows, cols) array as a float32 bank."""
-    arr = np.asarray(values, dtype=np.float64)
+    """Write an (n_samples, rows, cols) array as a bank of finite float32s."""
+    with np.errstate(over="ignore"):
+        arr = np.asarray(values, dtype="<f4", order="C")
     if arr.ndim != 3:
         raise BankPayloadError(f"bank values must be rank 3, got rank {arr.ndim}")
     if not np.all(np.isfinite(arr)):
@@ -76,7 +78,7 @@ def write_feature_bank(path: str, values: np.ndarray):
     n, rows, cols = arr.shape
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, n, rows, cols))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+        fh.write(arr)
 
 
 def read_bank_header(path: str) -> tuple[int, int, int]:
@@ -96,7 +98,7 @@ def read_bank_header(path: str) -> tuple[int, int, int]:
 
 
 def load_feature_bank(path: str) -> np.ndarray:
-    """Load a bank as float64 with shape (n_samples, rows, cols)."""
+    """Load a bank as a writable float32 (n_samples, rows, cols) array."""
     n, rows, cols = read_bank_header(path)
     for name, size in (("samples", n), ("rows", rows), ("cols", cols)):
         if size == 0:
@@ -109,7 +111,8 @@ def load_feature_bank(path: str) -> np.ndarray:
     if len(payload) % 4 != 0 or count != expected:
         raise BankPayloadError(
             f"{path}: payload holds {count} float32 values, header declares {expected}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(payload, dtype="<f4").copy()
+    del payload
     bad = ~np.isfinite(flat)
     if bad.any():
         offset = int(np.argmax(bad))
@@ -219,7 +222,7 @@ def write_captions(path: str, records: list[tuple[int, list[str]]]):
 # -------------------------------------------------------------- embeddings
 
 def write_embedding_table(path: str, table: np.ndarray):
-    arr = np.asarray(table, dtype=np.float64)
+    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[1] != EMBED_DIM:
         raise BankPayloadError(
             f"embedding table must be (vocab, {EMBED_DIM}), got {arr.shape}")
@@ -250,10 +253,10 @@ DATASET_FILES = (MSV_FILE, ROI_FILE, CAPTIONS_FILE, VOCAB_FILE, EMBED_FILE)
 @dataclass
 class Dataset:
     """A fully loaded dataset: feature banks plus text artifacts."""
-    msv: np.ndarray          # (n_images, n_m, d_in)
-    roi: np.ndarray          # (n_images, n_r, d_r)
+    msv: np.ndarray          # (n_images, n_m, d_in), float32 from a bank
+    roi: np.ndarray          # (n_images, n_r, d_r), float32 from a bank
     captions: list[CaptionRecord]
-    embedding: np.ndarray    # (vocab_size, 300)
+    embedding: np.ndarray    # (vocab_size, 300), float32 from a bank
     vocab: dict[str, int]
     unknown_tokens: int = 0
 

@@ -1,10 +1,11 @@
 """Full cross-modal model: encoders, fusion, guidance, and batch scores.
 
 One model instance owns a parameter registry shaped by its config (head
-kinds, ablation switches) plus the frozen embedding table.  The encoders
-return codes as (n, d) tensors with one row per image or caption; pair
-scores are cosines between rows, assembled by ``Model.score_matrices``
-into (images, captions) matrices for the two ranking branches (evaluation
+kinds, ablation switches) plus a float64 copy of the frozen embedding
+table, made once rather than cast per caption.  The encoders return
+codes as (n, d) tensors with one row per image or caption; pair scores
+are cosines between rows, assembled by ``Model.score_matrices`` into
+(images, captions) matrices for the two ranking branches (evaluation
 builds only the final one, with ``Model.final_scores``):
 
     S_global[i][j] = cos(V_M_i, T_G_j)
@@ -90,9 +91,10 @@ def _map_chunks(fn, n: int, d: int) -> list:
 
 
 def _canonical(rows) -> np.ndarray:
-    """``rows`` in one order that depends only on the multiset of rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    return rows[sorted(range(len(rows)), key=lambda i: rows[i].tobytes())]
+    """``rows`` as float64, in one order that depends only on their multiset."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return rows[np.argsort(keys[:, 0], kind="stable")]
 
 
 class Model:
@@ -130,15 +132,15 @@ class Model:
         """Codes of the images whose (rows, width) arrays pair up in order.
 
         ``msv`` and ``roi`` may be (n, rows, width) arrays or sequences of
-        per-image arrays, such as views into the feature banks.  Each
-        image's rows are an unordered set: they enter the graph sorted by
-        their bytes, so every order of them yields the same codes, bit for
-        bit.  Images are encoded in chunks of ``CHUNK``, each one as
-        image-major 2-D rows through projection and fusion; images of
-        unequal row counts raise.  An image's code does not depend on its
-        chunk-mates.  At ``PARALLEL_MIN_WIDTH`` or wider the chunks run on
-        worker threads (``_map_chunks``) and join in chunk order, so the
-        codes are the same bits at any worker count.
+        per-image arrays, such as views into the float32 feature banks.
+        Each image's rows are an unordered set: they enter the graph as
+        float64, sorted by their bytes, so every order of them yields the
+        same codes, bit for bit.  Images are encoded in chunks of
+        ``CHUNK``, each one as image-major 2-D rows through projection and
+        fusion; images of unequal row counts raise.  An image's code does
+        not depend on its chunk-mates.  At ``PARALLEL_MIN_WIDTH`` or wider
+        the chunks run on worker threads (``_map_chunks``) and join in chunk
+        order, so the codes are the same bits at any worker count.
         """
         pairs = list(zip(msv, roi, strict=True))
 

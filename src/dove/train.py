@@ -150,11 +150,11 @@ def save_checkpoint(path: str, cfg: TrainConfig, d_in: int, d_r: int,
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
         fh.write(struct.pack("<Q", state.t))
         for name in values:
-            fh.write(state.m[name].astype("<f8").tobytes(order="C"))
-            fh.write(state.v[name].astype("<f8").tobytes(order="C"))
+            fh.write(np.ascontiguousarray(state.m[name], dtype="<f8"))
+            fh.write(np.ascontiguousarray(state.v[name], dtype="<f8"))
 
 
 @dataclass

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import re
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from dove.dataio import (BankFormatError, BankPayloadError,
                          read_bank_header, write_captions,
                          write_embedding_table, write_feature_bank,
                          write_vocab)
+from dove.config import TrainConfig
+from dove.evaluation import build_report
+from dove.synth import synth_dataset, write_dataset
+from dove.train import load_checkpoint, model_from_checkpoint, train
 
 
 def bank_path(tmp_path, values):
@@ -31,8 +37,46 @@ def test_bank_round_trip_bit_identical(tmp_path):
     path = bank_path(tmp_path, values)
     assert read_bank_header(path) == (1, 2, 3)
     loaded = load_feature_bank(path)
-    assert loaded.dtype == np.float64
+    assert loaded.dtype == np.float32
     assert np.array_equal(loaded, values)
+
+
+def test_loaded_bank_is_a_writable_float32_copy(tmp_path):
+    values = np.random.default_rng(5).standard_normal((3, 4, 5))
+    loaded = load_feature_bank(bank_path(tmp_path, values))
+    assert loaded.dtype == np.float32 and loaded.flags.writeable
+    assert np.array_equal(loaded, values.astype(np.float32))
+    loaded[0, 0, 0] = 2.0  # the caller may edit it, as a table fix-up does
+
+
+def test_loading_a_bank_holds_one_copy_of_its_payload(tmp_path):
+    # the loaded values are the only copy left; while loading, the file's
+    # bytes and that copy are the only two payload-sized blocks
+    values = np.ones((64, 36, 512), dtype=np.float32)  # 4.7 MB payload
+    path = str(tmp_path / "big.fb")
+    write_feature_bank(path, values)
+    tracemalloc.start()
+    try:
+        loaded = load_feature_bank(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.shape == values.shape
+    assert current <= 1.05 * values.nbytes
+    assert peak <= 2.1 * values.nbytes
+
+
+def test_bank_write_checks_the_float32_values_it_writes(tmp_path):
+    # 1e39 is finite as float64 but inf as float32: writing it would make a
+    # bank the loader rejects
+    path = tmp_path / "over.fb"
+    with pytest.raises(BankPayloadError, match="non-finite"):
+        write_feature_bank(str(path), np.array([[[1.0, 1e39]]]))
+    assert list(tmp_path.iterdir()) == []
+    top = float(np.finfo(np.float32).max)
+    values = np.array([[[top, -top]]])
+    assert np.array_equal(load_feature_bank(bank_path(tmp_path, values)),
+                          values)
 
 
 def test_bank_write_rejects_bad_payloads(tmp_path):
@@ -215,6 +259,32 @@ def test_load_dataset_rejects_small_embedding(tiny_dataset_dir, tmp_path):
                           np.zeros((2, dataio.EMBED_DIM)))
     with pytest.raises(BankPayloadError, match="vocab ids reach"):
         load_dataset(str(broken))
+
+
+def test_float32_banks_give_the_bytes_of_their_float64_upcast(tmp_path):
+    # rows become float64 exactly where they enter the model, so training
+    # and a report from the loaded banks match a float64 copy of them
+    data = tmp_path / "data"
+    write_dataset(synth_dataset(seed=1, n_images=32, n_clusters=4,
+                                d_in=64, d_r=32), str(data))
+    ds32 = load_dataset(str(data))
+    assert {a.dtype for a in (ds32.msv, ds32.roi, ds32.embedding)} == {
+        np.dtype(np.float32)}
+    ds64 = replace(ds32, msv=ds32.msv.astype(np.float64),
+                   roi=ds32.roi.astype(np.float64),
+                   embedding=ds32.embedding.astype(np.float64))
+    cfg = TrainConfig(d=64, heads=2, batch_size=8, epochs=2, seed=3)
+    images = list(range(32))
+    outputs = []
+    for name, ds in (("f32", ds32), ("f64", ds64)):
+        result = train(replace(cfg), ds, str(tmp_path / name))
+        model = model_from_checkpoint(load_checkpoint(result.checkpoint_path),
+                                      ds)
+        report = build_report(model, ds, images, "all",
+                              [("half", images[::2])], with_distances=True)
+        with open(result.checkpoint_path, "rb") as fh:
+            outputs.append((fh.read(), report.to_json()))
+    assert outputs[0] == outputs[1]
 
 
 def test_dataset_views():

@@ -8,7 +8,7 @@ import pytest
 
 from dove import autograd as ag
 from dove import gated_attention as ga
-from dove.model import CHUNK
+from dove.model import CHUNK, _canonical
 
 
 FIELDS = ("v_m", "v_r", "v_mr")
@@ -189,6 +189,22 @@ def test_caption_code_is_the_mean_of_its_real_word_features(
     for j, n in enumerate(lengths):
         rows = f_g[packing.offsets[:n] + longest_first.index(n)]
         assert np.allclose(t_g[j], rows.mean(axis=0), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_canonical_order_sorts_rows_by_their_float64_bytes(dtype):
+    # the reference order: Python's sort of each row's bytes; duplicate rows
+    # and both zeros, whose bytes differ, are in every case
+    rng = np.random.default_rng(8)
+    for n in range(2, 40):
+        rows = rng.choice([0.0, -0.0, 1.5, -2.25, 0.1, 3.0, -7e-3],
+                          size=(n, int(rng.integers(1, 6)))).astype(dtype)
+        rows[-1] = rows[0]
+        rows[0, 0], rows[1, 0] = 0.0, -0.0
+        wide = rows.astype(np.float64)
+        want = wide[sorted(range(n), key=lambda i: wide[i].tobytes())]
+        got = _canonical(rows)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_a_desk_batch_builds_at_most_45_op_nodes():

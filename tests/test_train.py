@@ -280,6 +280,23 @@ def test_fresh_checkpoint_bytes_are_pinned(tmp_path, heads, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_saving_copies_no_parameter(tmp_path):
+    # every float64 array goes to the file as it is held
+    cfg = TrainConfig(d=128, heads=2, seed=11)
+    model = Model(cfg, np.zeros((3, 300)))
+    model.bind_feature_widths(48, 24)
+    values = {n: t.data for n, t in model.reg.tensors().items()}
+    state = init_adam(model.reg)
+    tracemalloc.start()
+    try:
+        save_checkpoint(str(tmp_path / "checkpoint.bin"), cfg, 48, 24,
+                        values, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < max(arr.nbytes for arr in values.values()) / 2
+
+
 def test_loading_peaks_below_one_and_a_half_parameter_copies(tmp_path):
     # the Adam section (two thirds of the file) is never held in memory
     cfg = TrainConfig(d=64, heads=2, seed=11)
