@@ -5,15 +5,20 @@ Each configuration builds a fresh model and runs one ``batch_losses``
 forward and backward on one batch of a small synthetic corpus: d/B in
 {64/8, 32/3}, times the four IFA x IGA head pairs, times the ablations
 {none, no_iga, no_ifa, no_dtga}, times seeds {1, 2}, over 16 images.
-One more, d/B 128/40 with both heads nonlinear over 40 images, has two
-chunks of images and of captions at ``model.PARALLEL_MIN_WIDTH``, so its
-encoders run their chunks on worker threads.  The digest covers
-the three losses and every parameter gradient, by name, in registry
-order.  That last model then takes one Adam step, and the digest adds
-the bytes of its checkpoint and the JSON of its ``build_report`` over
-all 40 images, with distances and a subset of every other image.  Two
-trees that print the same digest compute the training step, write the
-checkpoint and score the report bit for bit alike.
+One more, d/B 128/40 with both heads nonlinear over 40 images, is at
+``model.PARALLEL_MIN_WIDTH``: its images and captions are cut into
+spans of 20 + 20, and its encoders, its backward and its Adam step run
+on worker threads.  The digest covers the three losses and every
+parameter gradient, by name, in registry order.  That last model then
+takes one Adam step, and the digest adds the bytes of its checkpoint
+and the JSON of its ``build_report`` over all 40 images, with distances
+and a subset of every other image.  Two trees that print the same
+digest compute the training step, write the checkpoint and score the
+report bit for bit alike.
+
+The wide configuration runs twice, with one worker and with every
+usable CPU; the script exits 1 when the two give different bytes.  On a
+one-CPU host both runs use one worker.
 
 The digest differs between BLAS thread counts.  Importing ``dove``
 first, before NumPy, sets the BLAS thread variables to 1; a variable
@@ -31,6 +36,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from dove import workers  # noqa: E402
 from dove.batching import gather_batch, training_batches  # noqa: E402
 from dove.config import TrainConfig  # noqa: E402
 from dove.dataio import load_dataset  # noqa: E402
@@ -78,7 +84,7 @@ def update(digest, ds, d, b, ifa, iga, ablation, seed) -> Model:
 def update_outputs(digest, ds, model):
     """Add the checkpoint after one Adam step, then the report, to ``digest``."""
     state = init_adam(model.reg)
-    adam_step(model.reg, state, model.cfg.lr0)
+    adam_step(model.reg, state, model.cfg.lr0, parallel=model.parallel)
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "checkpoint.bin")
         save_checkpoint(path, model.cfg, model.d_in, model.d_r,
@@ -90,6 +96,18 @@ def update_outputs(digest, ds, model):
     report = build_report(model, ds, images, "all", [("half", images[::2])],
                           with_distances=True)
     digest.update(report.to_json().encode())
+
+
+def wide_digest(cpus: int) -> bytes:
+    """The wide configuration's digest with ``cpus`` usable CPUs."""
+    usable, workers.usable_cpus = workers.usable_cpus, lambda: cpus
+    try:
+        digest = hashlib.sha256()
+        ds = corpus(WIDE["b"])
+        update_outputs(digest, ds, update(digest, ds, **WIDE))
+        return digest.digest()
+    finally:
+        workers.usable_cpus = usable
 
 
 def main() -> int:
@@ -105,6 +123,11 @@ def main() -> int:
     runs += 1
     print(f"{runs} configurations, a checkpoint and a report  "
           f"sha256 {digest.hexdigest()}")
+    cpus = workers.usable_cpus()
+    if wide_digest(1) != wide_digest(cpus):
+        print(f"the d={WIDE['d']} configuration differs between 1 and "
+              f"{cpus} workers", file=sys.stderr)
+        return 1
     return 0
 
 

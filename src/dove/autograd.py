@@ -38,24 +38,33 @@ pairs from the same block arithmetic, as plain values.
 ``triplet_hinge`` is the ranking loss's (B, B) grid of hinge terms over
 such a grid, as one node.
 
+``join_chunks`` stacks the chunks of one encoder call.  The backward
+walks each chunk's subgraph on its own, after the rest of the graph, on
+worker threads when the join asks for them; the chunks take turns at
+the leaves they share, so gradients do not depend on the worker count.
+
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
 canonical order before any op sees them.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import numbers
+import threading
 
 import numpy as np
+
+from . import workers
 
 __all__ = [
     "Tensor", "DimensionError", "DegenerateVectorError", "GraphConsumedError",
     "no_grad", "constant", "matmul", "take_rows", "add", "mul", "affine",
-    "mlp", "mean_rows", "reduce_sum", "concat", "cosine_grid", "gru_scan",
-    "gated_attention", "cross_rows", "guided_scores", "triplet_hinge",
-    "grad_check",
+    "mlp", "mean_rows", "reduce_sum", "concat", "join_chunks", "cosine_grid",
+    "gru_scan", "gated_attention", "cross_rows", "guided_scores",
+    "triplet_hinge", "grad_check",
 ]
 
 
@@ -142,37 +151,71 @@ class Tensor:
         gradient that nothing else holds, because each rule gives every
         buffer to at most one tensor (see ``_acc``).  A later backward
         through a consumed node raises ``GraphConsumedError``.
+
+        The chunks behind a ``join_chunks`` node are walked once the rest
+        of the graph has been: each chunk from its own roots, on worker
+        threads when the join asks for them.  Their leaves take turns
+        (``_ChunkWalks``), so every gradient gets the additions of one serial
+        walk, in its order, at any worker count.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a size-1 tensor")
-        order = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
+        self.grad = np.ones_like(self.data)
+        joins = _walk(_post_order([self]), keep=self)
+        if joins:
+            _walk_chunks(joins)
+
+
+def _post_order(roots: list) -> list:
+    """Every node that needs a gradient and is reachable from ``roots``,
+    each one after all of its parents.
+
+    Walked from the end, the list is the backward's order.  A chunk
+    join's parents are not followed: its chunks walk on their own.
+    """
+    order = []
+    visited = set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        if type(node._bw) is not _Field:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        del visited  # the walk needs only the order
-        self.grad = np.ones_like(self.data)
-        while order:
-            node = order.pop()
-            if node._bw is None:  # a leaf
-                continue
-            bw, g, node._bw, node._parents = node._bw, node.grad, _consumed, ()
-            if node is self:
-                g = g.copy()  # the root keeps its own
-            else:
-                node.grad = None
-            del node  # so an output nothing holds goes before bw allocates
-            bw(g)
+    return order
+
+
+def _walk(order: list, keep=None, passed=None) -> list:
+    """Run the rules of ``order`` from its end, freeing each node passed;
+    the joins whose fields were passed, in the order first reached.
+
+    ``keep`` keeps its gradient.  ``passed(i)``, if given, follows the
+    rule of the node at position i.
+    """
+    joins = []
+    while order:
+        node = order.pop()
+        if node._bw is None:  # a leaf
+            continue
+        bw, g, node._bw, node._parents = node._bw, node.grad, _consumed, ()
+        if node is keep:
+            g = g.copy()  # the root keeps its own
+        else:
+            node.grad = None
+        del node  # so an output nothing holds goes before bw allocates
+        bw(g)
+        if passed is not None:
+            passed(len(order))
+        elif type(bw) is _Field and bw.join not in joins:
+            joins.append(bw.join)
+    return joins
 
 
 def constant(data) -> Tensor:
@@ -202,6 +245,9 @@ def _acc(t: Tensor, g: np.ndarray):
     then owns it.  Only ``add`` can owe one buffer to two operands, and
     it copies.
     """
+    if t._bw is None and _chunk_walk.current is not None:
+        walks, k = _chunk_walk.current  # a leaf chunks may share
+        walks.wait(k, t)
     if t.grad is None:
         t.grad = g
     else:
@@ -272,6 +318,181 @@ def concat(*parts: Tensor) -> Tensor:
                     _acc(p, gp)
         out._bw = bw
     return out
+
+
+class _Join:
+    """The chunks of one ``join_chunks`` call and the gradients of its
+    fields, kept until the chunks are walked."""
+
+    __slots__ = ("chunks", "seeds", "parallel")
+
+    def __init__(self, chunks: list, parallel: bool):
+        self.chunks = chunks
+        self.seeds = [None] * len(chunks[0])
+        self.parallel = parallel
+
+
+class _Field:
+    """Backward rule of a join's field: keeps the gradient for the chunks."""
+
+    __slots__ = ("join", "field")
+
+    def __init__(self, join: _Join, field: int):
+        self.join, self.field = join, field
+
+    def __call__(self, g):
+        if self.join.seeds is None:  # an earlier backward walked the chunks
+            _consumed(g)
+        self.join.seeds[self.field] = g
+
+
+def join_chunks(*roots: Tensor, fields: int = 1,
+                parallel: bool = False) -> list:
+    """One tensor per field: the field's rows of every chunk, in order.
+
+    ``roots[k * fields + f]`` is chunk k's rank-2 root of field f, and
+    field f stacks the chunks' roots of it as ``concat`` does.  A chunk's
+    subgraph may share leaves with another chunk's, but no other node,
+    and nothing outside the chunk may use a node inside it.  One chunk
+    is joined by plain ``concat``: there is nothing to walk apart.
+
+    ``Tensor.backward`` walks the rest of the graph first, then each
+    chunk's subgraph from its roots, each root given its rows of its
+    field's gradient (a field that got none seeds nothing).  With
+    ``parallel`` the chunk walks run on worker threads
+    (``workers.run_in_order``).  Chunk k adds to a leaf only once every
+    lower chunk has made all of its own additions to that leaf, so each
+    leaf gets the additions of one serial walk, chunk by chunk, in the
+    same order.  Leaves that the rest of the graph also feeds get those
+    additions first, and a root that is a leaf gets its rows before any
+    chunk walks.  Once one backward has walked the chunks, a later one
+    through any field raises ``GraphConsumedError``.
+    """
+    if fields < 1 or not roots or len(roots) % fields:
+        raise DimensionError(f"join_chunks got {len(roots)} roots for "
+                             f"{fields} fields")
+    if len(roots) == fields:
+        return [concat(r) for r in roots]
+    chunks = [roots[k:k + fields] for k in range(0, len(roots), fields)]
+    join = _Join(chunks, parallel)
+    out = []
+    for f in range(fields):
+        field = concat(*(roots[f] for roots in chunks))
+        if field.requires_grad:
+            field._bw = _Field(join, f)
+        out.append(field)
+    return out
+
+
+class _Dropped(Exception):
+    """A chunk walk stopped because a lower chunk failed."""
+
+
+def _releases(order: list) -> dict:
+    """Position in ``order`` -> the leaves to which the node there makes
+    the walk's last addition."""
+    last = {}  # walked from the end, the lowest position adds last
+    for i, node in enumerate(order):
+        if node._bw is not None:
+            for p in node._parents:
+                if p.requires_grad and p._bw is None:
+                    last.setdefault(id(p), i)
+    releases = {}
+    for key, i in last.items():
+        releases.setdefault(i, []).append(key)
+    return releases
+
+
+class _ChunkWalks:
+    """The chunk walks of one backward, taking turns at shared leaves.
+
+    ``queue[id(leaf)]`` lists the chunks that add to the leaf, lowest
+    first; its head holds the turn.  A chunk waits for its turn at its
+    first addition to the leaf (``_acc``) and passes it on after the last
+    node that adds to it.  Once a chunk has failed, the chunks above it
+    stop at their next wait or node: their results no longer matter.
+    """
+
+    def __init__(self, orders: list):
+        self.orders = orders
+        self.releases = [_releases(order) for order in orders]
+        self.queue = {}
+        for k, releases in enumerate(self.releases):
+            for keys in releases.values():
+                for key in keys:
+                    self.queue.setdefault(key, collections.deque()).append(k)
+        self.cond = threading.Condition()
+        self.failed = math.inf
+
+    def run(self, k: int):
+        """Walk chunk k on this thread."""
+        order, self.orders[k] = self.orders[k], None  # freed as it walks
+        _chunk_walk.current = (self, k)
+        try:
+            _walk(order, passed=lambda i: self._passed(k, i))
+        except BaseException:
+            with self.cond:
+                self.failed = min(self.failed, k)
+                self.cond.notify_all()
+            raise
+        finally:
+            _chunk_walk.current = None
+
+    def wait(self, k: int, leaf: Tensor):
+        self._turn(k, self.queue[id(leaf)])
+
+    def _turn(self, k: int, queue):
+        if queue[0] != k:
+            with self.cond:
+                self.cond.wait_for(lambda: queue[0] == k or self.failed < k)
+            if queue[0] != k:
+                raise _Dropped
+
+    def _passed(self, k: int, i: int):
+        if i in self.releases[k]:
+            queues = [self.queue[key] for key in self.releases[k][i]]
+            for queue in queues:  # held even if the rule added nothing
+                self._turn(k, queue)
+            with self.cond:
+                for queue in queues:
+                    queue.popleft()
+                self.cond.notify_all()
+        if self.failed < k:
+            raise _Dropped
+
+
+class _CurrentWalk(threading.local):
+    current = None  # (the _ChunkWalks, the chunk) this thread walks
+
+
+_chunk_walk = _CurrentWalk()
+
+
+def _seeded_orders(join: _Join) -> list:
+    """Each chunk's walk order, its roots given their rows of the fields'
+    gradients; the join lets go of both."""
+    chunks, seeds, join.chunks, join.seeds = join.chunks, join.seeds, None, None
+    parts = [None if g is None else np.split(
+                 g, np.cumsum([c[f].data.shape[0] for c in chunks])[:-1])
+             for f, g in enumerate(seeds)]
+    orders = []
+    for k, roots in enumerate(chunks):
+        seeded = []
+        for part, root in zip(parts, roots):
+            if part is not None and root.requires_grad:
+                _acc(root, part[k])
+                seeded.append(root)
+        orders.append(_post_order(seeded))
+    return orders
+
+
+def _walk_chunks(joins: list):
+    """Walk every chunk of ``joins``, lowest first, on worker threads when
+    a join asks for them (see ``join_chunks``)."""
+    orders = [order for join in joins for order in _seeded_orders(join)]
+    walks = _ChunkWalks(orders)
+    workers.run_in_order(walks.run, len(orders),
+                         any(join.parallel for join in joins))
 
 
 class Packing:

@@ -110,6 +110,21 @@ def primitive_gradcheck(seed: int = 0) -> float:
                 for shape in shapes]
         check({**guide, **{f"head{i}": t for i, t in enumerate(head)}},
               lambda: ag.guided_scores(*guide.values(), head))
+
+    # two chunks of two fields, walked on workers: leaf roots, then roots
+    # over rows of x and one map, so the chunks share leaves and take turns
+    check({"x": x, "y": y}, lambda: ag.concat(
+        *ag.join_chunks(x, y, y, x, fields=2, parallel=True)))
+
+    def chunked():
+        roots = []
+        for rows in ([0], [1, 2]):
+            part = ag.take_rows(x, rows)
+            roots += [ag.mlp(part, *maps.values(), "residual"),
+                      ag.mul(part, part)]
+        return ag.concat(*ag.join_chunks(*roots, fields=2, parallel=True))
+
+    check({"x": x, **maps}, chunked)
     return worst
 
 

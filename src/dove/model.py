@@ -15,22 +15,25 @@ where T_RG(i, j) is the guidance output for that specific pair.  The
 final grid is one graph node, ``autograd.guided_scores``, which never
 holds the N x M x d guided rows at once.
 
-Both encoders cut their inputs into chunks of ``CHUNK`` and hand them to
-``_map_chunks``, which runs them on worker threads, one per usable CPU,
-when the model is at least ``PARALLEL_MIN_WIDTH`` wide, and in the
-calling thread otherwise.  NumPy releases the GIL in BLAS and large
+Both encoders cut their inputs into spans of at most ``CHUNK`` whose
+sizes differ by at most one (``_spans``), at least two of them when the
+model is at least ``PARALLEL_MIN_WIDTH`` wide.  At that width they run
+the chunks on worker threads (``workers.run_in_order``), one per usable
+CPU, and join them with ``autograd.join_chunks``; narrower models run
+them in the calling thread.  NumPy releases the GIL in BLAS and large
 ufuncs, so wide chunks overlap.  A chunk's codes are a pure function of
-its inputs and the parameters, and the chunks are joined in chunk order,
-so codes, gradients, checkpoints and reports do not depend on the worker
-count, bit for bit.  Evaluation and the training forward take the same
-path; the backward stays one serial walk.  Workers only read the
-parameters and the process-global ``no_grad`` flag; they never enter or
-leave ``no_grad``.
+its inputs and the parameters, and the chunks are joined in chunk order.
+The backward walks each chunk's subgraph on the workers too, and its
+chunks take turns at the parameters they share, and Adam
+(``optimizer.adam_step`` with ``parallel``) shares the parameters
+between the workers.  So codes, gradients, checkpoints and reports do
+not depend on the worker count, bit for bit.  The spans depend only on
+the input count and the width.  Workers only read the parameters and
+the process-global ``no_grad`` flag; they never enter or leave
+``no_grad``.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +43,19 @@ from . import gated_attention as ga
 from . import roam
 from . import text_encoder as te
 from . import visual_encoder as ve
+from . import workers
 from .autograd import Tensor
 from .batching import Batch
 from .config import TrainConfig
 from .objective import cosine_matrix, total_loss
 from .params import ParamRegistry
 
-# images or captions per batch in ``Model.encode_images`` and
-# ``Model.encode_captions``
+# most images or captions in one chunk of ``Model.encode_images`` and
+# ``Model.encode_captions`` (see ``_spans``)
 CHUNK = 32
-# narrower models run their chunks in the calling thread: at d=64 a
-# chunk's many small NumPy calls contend for the GIL, and workers lose
+# narrower models run their chunks, backward and Adam in the calling
+# thread: at d=64 a chunk's many small NumPy calls contend for the GIL,
+# and workers lose
 PARALLEL_MIN_WIDTH = 128
 
 
@@ -62,32 +67,17 @@ class ImageCodes:
     v_mr: Tensor   # (n, d) fused codes
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _spans(n: int, d: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of n inputs to a model of width ``d``.
 
-
-def _map_chunks(fn, n: int, d: int) -> list:
-    """``[fn(start) for start in range(0, n, CHUNK)]``, in chunk order.
-
-    The chunks run on min(chunks, usable CPUs) worker threads from a pool
-    that lives for this call only; with one worker, or below
-    ``PARALLEL_MIN_WIDTH`` model width ``d``, they run in the calling
-    thread.  The first chunk to raise, in chunk order, raises here, once
-    the chunks already running end; chunks not yet started are dropped.
+    ceil(n / ``CHUNK``) spans whose sizes differ by at most one, and at
+    ``PARALLEL_MIN_WIDTH`` or wider at least two when n >= 2, so that
+    two workers share even one batch: B=32 is 16 + 16, B=100 is 4 x 25.
     """
-    starts = range(0, n, CHUNK)
-    workers = min(len(starts), _usable_cpus())
-    if workers <= 1 or d < PARALLEL_MIN_WIDTH:
-        return [fn(start) for start in starts]
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(fn, starts))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    k = -(-n // CHUNK)
+    if d >= PARALLEL_MIN_WIDTH and n >= 2:
+        k = max(k, 2)
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def _canonical(rows) -> np.ndarray:
@@ -112,6 +102,11 @@ class Model:
         self.d_in = None   # set by bind_feature_widths
         self.d_r = None
 
+    @property
+    def parallel(self) -> bool:
+        """Whether chunks, their backward and Adam run on worker threads."""
+        return self.cfg.d >= PARALLEL_MIN_WIDTH
+
     def bind_feature_widths(self, d_in: int, d_r: int):
         """Register all parameters for banks of these widths; call once."""
         self.d_in, self.d_r = d_in, d_r
@@ -135,17 +130,18 @@ class Model:
         per-image arrays, such as views into the float32 feature banks.
         Each image's rows are an unordered set: they enter the graph as
         float64, sorted by their bytes, so every order of them yields the
-        same codes, bit for bit.  Images are encoded in chunks of
-        ``CHUNK``, each one as image-major 2-D rows through projection and
+        same codes, bit for bit.  Images are encoded in the chunks of
+        ``_spans``, each one as image-major 2-D rows through projection and
         fusion; images of unequal row counts raise.  An image's code does
         not depend on its chunk-mates.  At ``PARALLEL_MIN_WIDTH`` or wider
-        the chunks run on worker threads (``_map_chunks``) and join in chunk
-        order, so the codes are the same bits at any worker count.
+        the chunks run on worker threads and join in chunk order, so the
+        codes are the same bits at any worker count.
         """
         pairs = list(zip(msv, roi, strict=True))
+        spans = _spans(len(pairs), self.cfg.d)
 
-        def encode(start):
-            chunk = pairs[start:start + CHUNK]
+        def encode(k):
+            chunk = pairs[slice(*spans[k])]
             m_v = np.stack([_canonical(m) for m, _ in chunk])
             r_v = np.stack([_canonical(r) for _, r in chunk])
             f_m = ve.msv_project(ag.constant(
@@ -157,34 +153,35 @@ class Model:
             return [ag.mean_rows(f, f.shape[0] // len(chunk))
                     for f in (f_m, f_r, f_mr)]
 
-        chunks = _map_chunks(encode, len(pairs), self.cfg.d)
-        # no images leaves each field no parts, and concat raises
-        return ImageCodes(*(ag.concat(*(codes[k] for codes in chunks))
-                            for k in range(3)))
+        chunks = workers.run_in_order(encode, len(spans), self.parallel)
+        # no images leaves no chunks, and the join raises
+        return ImageCodes(*ag.join_chunks(
+            *(root for roots in chunks for root in roots), fields=3,
+            parallel=self.parallel))
 
     def encode_captions(self, token_lists: list[list[int]]) -> Tensor:
         """(n, d) T_G rows, one per caption, in the order given.
 
         Captions are sorted by length (stable by position) and encoded in
-        chunks of ``CHUNK``, each one longest caption first.  A chunk runs
+        the chunks of ``_spans``, each one longest caption first.  A chunk runs
         through the BiGRU and DTGA as one (N, d) array of packed rows (see
         ``autograd.Packing``), its N real tokens and no padding.  ``T_G``
         is the mean over a caption's tokens: one product of the packing's
         (b, N) averaging matrix with the chunk's word features.  A
         caption's code does not depend on its chunk-mates beyond the last
         bits of the batched products.  At ``PARALLEL_MIN_WIDTH`` or wider
-        the chunks run on worker threads (``_map_chunks``); chunk makeup,
-        their order and the join do not depend on the worker count, and
-        neither do the codes' bits.
+        the chunks run on worker threads; chunk makeup, their order and
+        the join do not depend on the worker count, and neither do the
+        codes' bits.
         """
         by_length = sorted(range(len(token_lists)),
                            key=lambda i: len(token_lists[i]))
-        order = [i for start in range(0, len(by_length), CHUNK)
-                 for i in reversed(by_length[start:start + CHUNK])]
+        spans = _spans(len(by_length), self.cfg.d)
+        order = [i for lo, hi in spans for i in reversed(by_length[lo:hi])]
 
-        def encode(start):
+        def encode(k):
             e, packing = te.embed_captions(
-                [token_lists[i] for i in order[start:start + CHUNK]],
+                [token_lists[i] for i in order[slice(*spans[k])]],
                 self.embedding)
             hidden = te.bigru(e, self.reg, packing)
             f_g = ga.word_features(hidden.forward, hidden.backward, self.reg,
@@ -192,9 +189,10 @@ class Model:
                                    disabled=self.cfg.no_dtga, packing=packing)
             return ag.matmul(ag.constant(packing.averaging), f_g)
 
-        chunks = _map_chunks(encode, len(order), self.cfg.d)
+        chunks = workers.run_in_order(encode, len(spans), self.parallel)
+        (t_g,) = ag.join_chunks(*chunks, parallel=self.parallel)
         # the inverse permutation puts caption j's code in row j
-        return ag.take_rows(ag.concat(*chunks), np.argsort(order))
+        return ag.take_rows(t_g, np.argsort(order))
 
     # ------------------------------------------------------- pair scoring
 

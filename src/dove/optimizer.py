@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ParamRegistry
+from .workers import run_in_order
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -31,23 +32,37 @@ def init_adam(reg: ParamRegistry) -> AdamState:
     return state
 
 
-def adam_step(reg: ParamRegistry, state: AdamState, lr: float):
+def adam_step(reg: ParamRegistry, state: AdamState, lr: float,
+              parallel: bool = False):
     """One update over every registered parameter; missing grads are zero.
 
-    Each parameter's update runs the textbook operations in their usual
-    order, written into one work array and the step array, and
-    changes ``t.data`` in place.
+    Every gradient is checked first: a non-finite one raises
+    ``NumericAbort`` naming the first such parameter in registry order,
+    with the parameters, the moments and ``state.t`` untouched.  Each
+    parameter's update runs the textbook operations in their usual
+    order, written into one work array and the step array, and changes
+    ``t.data`` in place.  With ``parallel`` the checks and the updates
+    are shared between worker threads (``workers.run_in_order``); each
+    update reads and writes only its own parameter's arrays, so the
+    bits do not depend on the worker count.
     """
+    params = list(reg.tensors().items())
+    finite = run_in_order(
+        lambda i: params[i][1].grad is None
+        or bool(np.all(np.isfinite(params[i][1].grad))),
+        len(params), parallel)
+    if not all(finite):
+        raise NumericAbort(
+            f"non-finite gradient in {params[finite.index(False)][0]}")
     state.t += 1
-    t = state.t
-    correct1 = 1.0 - BETA1 ** t
-    correct2 = 1.0 - BETA2 ** t
-    for name, t in reg.tensors().items():
+    correct1 = 1.0 - BETA1 ** state.t
+    correct2 = 1.0 - BETA2 ** state.t
+
+    def update(i):
+        name, t = params[i]
         g = t.grad
         if g is None:
             g = np.zeros_like(t.data)
-        elif not np.all(np.isfinite(g)):
-            raise NumericAbort(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
         tmp = np.multiply(g, 1.0 - BETA1)
@@ -64,6 +79,8 @@ def adam_step(reg: ParamRegistry, state: AdamState, lr: float):
         step *= lr
         step /= tmp                             # lr m_hat / (...)
         t.data -= step
+
+    run_in_order(update, len(params), parallel)
 
 
 def lr_at(lr0: float, decay_factor: float, decay_every: int, epoch: int) -> float:

@@ -97,7 +97,7 @@ def train(cfg: TrainConfig, ds: Dataset, out_dir: str,
                     f"(final={loss_final.data[0]!r}, global={loss_global.data[0]!r}, "
                     f"images={batch.image_ids})")
             total.backward()
-            adam_step(model.reg, state, lr)
+            adam_step(model.reg, state, lr, parallel=model.parallel)
             sum_total += total.data[0]
             sum_final += loss_final.data[0]
             sum_global += loss_global.data[0]

@@ -11,15 +11,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dove import model as model_module
+from dove import autograd as ag
 from dove import text_encoder as te
-from dove.autograd import DimensionError
+from dove import workers as workers_module
+from dove.autograd import DimensionError, GraphConsumedError
 from dove.batching import Batch
 from dove.cli import main
 from dove.config import TrainConfig
 from dove.dataio import load_dataset
 from dove.evaluation import build_report
 from dove.model import CHUNK, PARALLEL_MIN_WIDTH, Model
+from dove.optimizer import adam_step, init_adam
 from dove.synth import synth_dataset, write_dataset
 from dove.text_encoder import TokenError
 
@@ -31,7 +33,8 @@ LIMIT_S = 120.0
 @pytest.fixture()
 def workers(monkeypatch):
     """``workers.set(n)`` makes n CPUs usable; ``workers.pools`` lists the
-    size of each pool the encoders open."""
+    size of each pool opened.  The calling thread runs a share of the
+    chunks beside its pool, so n CPUs open pools of n - 1."""
     pools = []
 
     class CountedPool(ThreadPoolExecutor):
@@ -39,9 +42,9 @@ def workers(monkeypatch):
             super().__init__(max_workers=max_workers)
             pools.append(max_workers)
 
-    monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(workers_module, "ThreadPoolExecutor", CountedPool)
     return SimpleNamespace(pools=pools, set=lambda n: monkeypatch.setattr(
-        model_module, "_usable_cpus", lambda: n))
+        workers_module, "usable_cpus", lambda: n))
 
 
 def _bounded(fn):
@@ -104,7 +107,7 @@ def test_report_bytes_do_not_depend_on_the_worker_count(corpus_dir, workers):
                                     "all", [("half", list(range(18)))]
                                     ).to_json())
     assert reports[0] == reports[1]
-    assert workers.pools and set(workers.pools) == {2}
+    assert workers.pools and set(workers.pools) == {1}
 
 
 def test_training_gradients_do_not_depend_on_the_worker_count(workers):
@@ -122,7 +125,7 @@ def test_training_gradients_do_not_depend_on_the_worker_count(workers):
                          {name: t.grad.tobytes()
                           for name, t in model.reg.tensors().items()}))
     assert results[0] == results[1]
-    assert set(workers.pools) == {2}
+    assert set(workers.pools) == {1}
 
 
 def test_checkpoint_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys,
@@ -145,7 +148,7 @@ def test_checkpoint_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys,
         stdout = capsys.readouterr().out.replace(str(out), "RUN")
         runs.append((stdout, (out / "checkpoint.bin").read_bytes()))
     assert runs[0] == runs[1]
-    assert set(workers.pools) == {2}
+    assert set(workers.pools) == {1}
 
 
 def test_narrow_models_run_their_chunks_in_the_calling_thread(workers):
@@ -176,7 +179,111 @@ def test_many_workers_under_a_short_switch_interval_give_serial_codes(
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert workers.pools == [8, 8]
+    assert workers.pools == [7, 7]
+
+
+def test_a_training_step_under_a_short_switch_interval_gives_serial_bits(
+        workers):
+    # five chunks of images and five of captions: their backward walks
+    # take turns at the shared parameters, and Adam runs on workers too
+    b = 4 * CHUNK + 1
+    msv, roi = _images(8, b)
+    batch = Batch(msv=msv, roi=roi, captions=_captions(9, b),
+                  image_ids=list(range(b)), caption_ids=list(range(b)))
+
+    def step():
+        model = _model(batch_size=b)
+        losses = model.batch_losses(batch)
+        losses[0].backward()
+        grads = {name: t.grad.tobytes()
+                 for name, t in model.reg.tensors().items()}
+        adam_step(model.reg, init_adam(model.reg), model.cfg.lr0,
+                  parallel=model.parallel)
+        return ([loss.data.tobytes() for loss in losses], grads,
+                {name: t.data.tobytes()
+                 for name, t in model.reg.tensors().items()})
+
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 8):
+            workers.set(cpus)
+            runs[cpus] = _bounded(step)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[2] == runs[1]
+    assert runs[8] == runs[1]
+    assert {1, 4, 7} <= set(workers.pools)
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_a_failing_chunk_backward_reaches_the_caller(workers, cpus):
+    # the backward rules of chunks 1 and 3 of five raise, chunk 3's first.
+    # Chunk 1's error is the one a serial walk raises, and the chunks
+    # above it stop instead of waiting for a turn chunk 1 never passes on
+    captions = _captions(10, 4 * CHUNK + 1)
+    workers.set(cpus)
+    loss = ag.reduce_sum(_model().encode_captions(captions))
+    roots = loss._parents[0]._parents[0]._parents  # the join's chunk roots
+    assert len(roots) == 5
+
+    def failing(k, delay):
+        def bw(g):
+            time.sleep(delay)
+            raise RuntimeError(f"chunk {k}")
+        return bw
+
+    roots[1]._bw, roots[3]._bw = failing(1, 0.2), failing(3, 0.0)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="chunk 1"):
+        _bounded(loss.backward)
+    assert set(threading.enumerate()) <= before
+    assert workers.pools == [min(5, cpus) - 1] * 2
+    with pytest.raises(GraphConsumedError):
+        loss.backward()
+
+
+@pytest.mark.parametrize("d, n", [(D, 4), (8, CHUNK + 1)])
+def test_a_field_of_walked_chunks_raises_graph_consumed(workers, d, n):
+    # a backward from v_m walks the image chunks; one from v_r then finds
+    # the join consumed and changes no gradient
+    workers.set(2)
+    model = _model(d=d)
+    codes = model.encode_images(*_images(12, n))
+    ag.reduce_sum(codes.v_m).backward()
+    grads = {name: p.grad.copy() for name, p in model.reg.tensors().items()
+             if p.grad is not None}
+    assert grads
+    for field in (codes.v_r, codes.v_mr, codes.v_m):
+        with pytest.raises(GraphConsumedError):
+            ag.reduce_sum(field).backward()
+    assert all(np.array_equal(p.grad, grads[name])
+               for name, p in model.reg.tensors().items() if p.grad is not None)
+    assert {name for name, p in model.reg.tensors().items()
+            if p.grad is not None} == set(grads)
+
+
+def test_a_chunk_that_adds_nothing_to_a_shared_leaf_waits_for_its_turn(
+        workers):
+    # chunk 1's rule skips w while chunk 0 still holds w's turn: chunk 1
+    # passes the turn on only once it has it, so chunk 0 still adds
+    workers.set(2)
+    rng = np.random.default_rng(11)
+    w = ag.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    x0, x1 = (ag.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(2))
+    roots = [ag.matmul(x0, w), ag.matmul(x1, w)]
+    add = roots[0]._bw
+
+    def late(g):
+        time.sleep(0.2)
+        add(g)
+
+    roots[0]._bw, roots[1]._bw = late, lambda g: None
+    (joined,) = ag.join_chunks(*roots, parallel=True)
+    _bounded(ag.reduce_sum(joined).backward)
+    assert np.array_equal(w.grad, x0.data.T @ np.ones((2, 3)))
+    assert workers.pools == [1]
 
 
 def test_an_error_in_the_last_chunk_reaches_the_caller(workers):
@@ -194,7 +301,7 @@ def test_an_error_in_the_last_chunk_reaches_the_caller(workers):
         _bounded(lambda: model.encode_captions(captions))
     assert type(threaded.value) is TokenError
     assert str(threaded.value) == str(serial.value)
-    assert workers.pools == [2]
+    assert workers.pools == [1]
     assert set(threading.enumerate()) <= before
 
 
@@ -221,7 +328,7 @@ def test_an_error_in_the_first_chunk_drops_the_chunks_not_started(
     with pytest.raises(TokenError):
         _bounded(lambda: model.encode_captions(captions))
     assert any(started) and len(started) <= 4
-    assert workers.pools == [2]
+    assert workers.pools == [1]
     assert set(threading.enumerate()) <= before
 
 

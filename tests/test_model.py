@@ -139,12 +139,13 @@ def test_stacked_caption_codes_equal_one_at_a_time(tiny_model, tiny_dataset):
 
 def test_text_path_computes_only_real_tokens(tiny_model, tiny_dataset,
                                             monkeypatch):
-    # two chunks of ragged captions: every product on the text path, and
-    # both recurrences, take exactly the chunk's real token rows
+    # two equal chunks of ragged captions, 20 + 20: every product on the
+    # text path, and both recurrences, take exactly the chunk's real
+    # token rows
     n = CHUNK + 8
     token_lists = _ragged_captions(5, n, tiny_dataset.embedding.shape[0], 12)
     by_length = sorted(len(ids) for ids in token_lists)
-    real = [sum(by_length[:CHUNK]), sum(by_length[CHUNK:])]
+    real = [sum(by_length[:n // 2]), sum(by_length[n // 2:])]
     products, scans = [], []
     affine, gru_scan = ag.affine, ag.gru_scan
 

@@ -116,6 +116,35 @@ def test_nonfinite_gradient_aborts():
         adam_step(reg, state, lr=0.1)
 
 
+@pytest.mark.parametrize("parallel", [False, True])
+def test_a_nonfinite_gradient_changes_nothing(parallel):
+    # every gradient is checked before any parameter, moment or the step
+    # count moves, and the error names the first bad one in registry order
+    rng = np.random.default_rng(4)
+    reg = registry_with({"w": rng.uniform(-1, 1, (3, 4)),
+                         "b": rng.uniform(-1, 1, 4),
+                         "last": rng.uniform(-1, 1, (2, 2))})
+    state = init_adam(reg)
+    for t in reg.tensors().values():
+        t.grad = rng.uniform(-1, 1, t.data.shape)
+    adam_step(reg, state, lr=0.1, parallel=parallel)  # nonzero moments
+    before = [{k: a.copy() for k, a in arrays.items()} for arrays in (
+        {k: t.data for k, t in reg.tensors().items()}, state.m, state.v)]
+    for t in reg.tensors().values():
+        t.grad = rng.uniform(-1, 1, t.data.shape)
+    reg["last"].grad[1, 0] = np.nan
+    with pytest.raises(NumericAbort, match="in last$"):
+        adam_step(reg, state, lr=0.1, parallel=parallel)
+    reg["b"].grad[2] = np.inf
+    with pytest.raises(NumericAbort, match="in b$"):
+        adam_step(reg, state, lr=0.1, parallel=parallel)
+    after = ({k: t.data for k, t in reg.tensors().items()}, state.m, state.v)
+    for want, got in zip(before, after):
+        assert want.keys() == got.keys()
+        assert all(np.array_equal(want[k], got[k]) for k in want)
+    assert state.t == 1
+
+
 def test_state_tracks_every_parameter():
     reg = registry_with({"a": np.zeros((2, 2)), "b": np.zeros(3)})
     state = init_adam(reg)
