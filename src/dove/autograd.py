@@ -40,8 +40,9 @@ such a grid, as one node.
 
 ``join_chunks`` stacks the chunks of one encoder call.  The backward
 walks each chunk's subgraph on its own, after the rest of the graph, on
-worker threads when the join asks for them; the chunks take turns at
-the leaves they share, so gradients do not depend on the worker count.
+worker threads when the join asks for them; each chunk adds to a leaf
+once, and the chunks take turns at the leaves they share, so gradients
+do not depend on the worker count.
 
 Ops sum in NumPy's own order.  Invariance to the order of an image's
 rows is not made here: ``Model.encode_images`` puts those rows into one
@@ -154,9 +155,12 @@ class Tensor:
 
         The chunks behind a ``join_chunks`` node are walked once the rest
         of the graph has been: each chunk from its own roots, on worker
-        threads when the join asks for them.  Their leaves take turns
-        (``_ChunkWalks``), so every gradient gets the additions of one serial
-        walk, in its order, at any worker count.
+        threads when the join asks for them, and a join inside a chunk
+        after the chunks it is in.  Each chunk uses each leaf once, and
+        the chunks take turns at it, passed on at the addition
+        (``_ChunkWalks``); a second use raises ``RuntimeError``.  So
+        every gradient gets the additions of one serial walk, in its
+        order, at any worker count.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a size-1 tensor")
@@ -192,13 +196,10 @@ def _post_order(roots: list) -> list:
     return order
 
 
-def _walk(order: list, keep=None, passed=None) -> list:
+def _walk(order: list, keep=None) -> list:
     """Run the rules of ``order`` from its end, freeing each node passed;
     the joins whose fields were passed, in the order first reached.
-
-    ``keep`` keeps its gradient.  ``passed(i)``, if given, follows the
-    rule of the node at position i.
-    """
+    ``keep`` keeps its gradient."""
     joins = []
     while order:
         node = order.pop()
@@ -211,9 +212,7 @@ def _walk(order: list, keep=None, passed=None) -> list:
             node.grad = None
         del node  # so an output nothing holds goes before bw allocates
         bw(g)
-        if passed is not None:
-            passed(len(order))
-        elif type(bw) is _Field and bw.join not in joins:
+        if type(bw) is _Field and bw.join not in joins:
             joins.append(bw.join)
     return joins
 
@@ -244,14 +243,21 @@ def _acc(t: Tensor, g: np.ndarray):
     it makes or receives, or a part of one, to at most one tensor, which
     then owns it.  Only ``add`` can owe one buffer to two operands, and
     it copies.
+
+    In a chunk walk, each chunk adds to a leaf once, in its turn
+    (``_ChunkWalks.turn``); a second addition raises ``RuntimeError``.
     """
-    if t._bw is None and _chunk_walk.current is not None:
-        walks, k = _chunk_walk.current  # a leaf chunks may share
-        walks.wait(k, t)
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
+    def add():
+        if t.grad is None:
+            t.grad = g
+        else:
+            t.grad += g
+    walk = getattr(_chunk_walk, "current", None)
+    if t._bw is not None or walk is None:
+        add()
+    elif not walk[0].turn(walk[1], walk[0].queue[id(t)], add):
+        raise RuntimeError(f"chunk {walk[1]} adds to a leaf of shape "
+                           f"{t.shape} twice; a chunk uses each leaf once")
 
 
 # ---------------------------------------------------------------- structure
@@ -360,13 +366,17 @@ def join_chunks(*roots: Tensor, fields: int = 1,
     chunk's subgraph from its roots, each root given its rows of its
     field's gradient (a field that got none seeds nothing).  With
     ``parallel`` the chunk walks run on worker threads
-    (``workers.run_in_order``).  Chunk k adds to a leaf only once every
-    lower chunk has made all of its own additions to that leaf, so each
+    (``workers.run_in_order``).  A chunk's rules may add to each leaf
+    once: a second addition by one chunk raises ``RuntimeError``.  Chunk
+    k adds to a leaf only once every lower chunk whose walk reaches it
+    has added to it or ended, and passes the turn on as it adds, so each
     leaf gets the additions of one serial walk, chunk by chunk, in the
     same order.  Leaves that the rest of the graph also feeds get those
     additions first, and a root that is a leaf gets its rows before any
-    chunk walks.  Once one backward has walked the chunks, a later one
-    through any field raises ``GraphConsumedError``.
+    chunk walks.  A join inside a chunk is walked the same way once the
+    walks of the join's chunks have ended.  Once one backward has walked
+    the chunks, a later one through any field raises
+    ``GraphConsumedError``.
     """
     if fields < 1 or not roots or len(roots) % fields:
         raise DimensionError(f"join_chunks got {len(roots)} roots for "
@@ -388,48 +398,42 @@ class _Dropped(Exception):
     """A chunk walk stopped because a lower chunk failed."""
 
 
-def _releases(order: list) -> dict:
-    """Position in ``order`` -> the leaves to which the node there makes
-    the walk's last addition."""
-    last = {}  # walked from the end, the lowest position adds last
-    for i, node in enumerate(order):
-        if node._bw is not None:
-            for p in node._parents:
-                if p.requires_grad and p._bw is None:
-                    last.setdefault(id(p), i)
-    releases = {}
-    for key, i in last.items():
-        releases.setdefault(i, []).append(key)
-    return releases
-
-
 class _ChunkWalks:
-    """The chunk walks of one backward, taking turns at shared leaves.
+    """The chunk walks of some joins, taking turns at the leaves they
+    share.  Each chunk uses each leaf once: ``_acc`` adds in the chunk's
+    turn and passes it on, and a second use raises.  ``queue[id(leaf)]``
+    lists the chunks whose walks reach the leaf, lowest first; its head
+    holds the turn.  Once a chunk has failed, the chunks above it stop at
+    their next wait.  Joins that a walk reaches are walked after it."""
 
-    ``queue[id(leaf)]`` lists the chunks that add to the leaf, lowest
-    first; its head holds the turn.  A chunk waits for its turn at its
-    first addition to the leaf (``_acc``) and passes it on after the last
-    node that adds to it.  Once a chunk has failed, the chunks above it
-    stop at their next wait or node: their results no longer matter.
-    """
-
-    def __init__(self, orders: list):
-        self.orders = orders
-        self.releases = [_releases(order) for order in orders]
-        self.queue = {}
-        for k, releases in enumerate(self.releases):
-            for keys in releases.values():
-                for key in keys:
-                    self.queue.setdefault(key, collections.deque()).append(k)
+    def __init__(self, joins: list):
+        self.orders, self.queue = [], {}
+        for join in joins:  # each root gets its rows of its field's gradient
+            chunks, seeds, join.chunks, join.seeds = join.chunks, join.seeds, None, None
+            parts = [None if g is None else np.split(
+                         g, np.cumsum([c[f].data.shape[0] for c in chunks])[:-1])
+                     for f, g in enumerate(seeds)]
+            for n, roots in enumerate(chunks):
+                seeded = [(root, part[n]) for part, root in zip(parts, roots)
+                          if part is not None and root.requires_grad]
+                for root, g in seeded:
+                    _acc(root, g)
+                self.orders.append(_post_order([root for root, _ in seeded]))
+        for k, order in enumerate(self.orders):
+            for leaf in (node for node in order if node._bw is None):
+                self.queue.setdefault(id(leaf), collections.deque()).append(k)
         self.cond = threading.Condition()
         self.failed = math.inf
 
-    def run(self, k: int):
-        """Walk chunk k on this thread."""
+    def run(self, k: int) -> list:
+        """Walk chunk k on this thread; the joins its walk reached."""
         order, self.orders[k] = self.orders[k], None  # freed as it walks
         _chunk_walk.current = (self, k)
         try:
-            _walk(order, passed=lambda i: self._passed(k, i))
+            joins = _walk(order)
+            for queue in self.queue.values():  # leaves it added nothing to
+                self.turn(k, queue, lambda: None)
+            return joins
         except BaseException:
             with self.cond:
                 self.failed = min(self.failed, k)
@@ -438,61 +442,31 @@ class _ChunkWalks:
         finally:
             _chunk_walk.current = None
 
-    def wait(self, k: int, leaf: Tensor):
-        self._turn(k, self.queue[id(leaf)])
-
-    def _turn(self, k: int, queue):
-        if queue[0] != k:
-            with self.cond:
-                self.cond.wait_for(lambda: queue[0] == k or self.failed < k)
+    def turn(self, k: int, queue, add) -> bool:
+        """``add()`` in chunk k's turn, then pass it on; False if k is not queued."""
+        with self.cond:
+            if k not in queue:
+                return False
+            self.cond.wait_for(lambda: queue[0] == k or self.failed < k)
             if queue[0] != k:
                 raise _Dropped
-
-    def _passed(self, k: int, i: int):
-        if i in self.releases[k]:
-            queues = [self.queue[key] for key in self.releases[k][i]]
-            for queue in queues:  # held even if the rule added nothing
-                self._turn(k, queue)
-            with self.cond:
-                for queue in queues:
-                    queue.popleft()
-                self.cond.notify_all()
-        if self.failed < k:
-            raise _Dropped
+        add()
+        with self.cond:
+            queue.popleft()
+            self.cond.notify_all()
+        return True
 
 
-class _CurrentWalk(threading.local):
-    current = None  # (the _ChunkWalks, the chunk) this thread walks
-
-
-_chunk_walk = _CurrentWalk()
-
-
-def _seeded_orders(join: _Join) -> list:
-    """Each chunk's walk order, its roots given their rows of the fields'
-    gradients; the join lets go of both."""
-    chunks, seeds, join.chunks, join.seeds = join.chunks, join.seeds, None, None
-    parts = [None if g is None else np.split(
-                 g, np.cumsum([c[f].data.shape[0] for c in chunks])[:-1])
-             for f, g in enumerate(seeds)]
-    orders = []
-    for k, roots in enumerate(chunks):
-        seeded = []
-        for part, root in zip(parts, roots):
-            if part is not None and root.requires_grad:
-                _acc(root, part[k])
-                seeded.append(root)
-        orders.append(_post_order(seeded))
-    return orders
+_chunk_walk = threading.local()  # .current: (the _ChunkWalks, the chunk)
 
 
 def _walk_chunks(joins: list):
-    """Walk every chunk of ``joins``, lowest first, on worker threads when
-    a join asks for them (see ``join_chunks``)."""
-    orders = [order for join in joins for order in _seeded_orders(join)]
-    walks = _ChunkWalks(orders)
-    workers.run_in_order(walks.run, len(orders),
-                         any(join.parallel for join in joins))
+    """Walk the chunks of ``joins`` and then of each join they reach."""
+    while joins:
+        walks = _ChunkWalks(joins)
+        reached = workers.run_in_order(walks.run, len(walks.orders),
+                                       any(join.parallel for join in joins))
+        joins = list(dict.fromkeys(j for found in reached for j in found))
 
 
 class Packing:

@@ -23,14 +23,14 @@ CPU, and join them with ``autograd.join_chunks``; narrower models run
 them in the calling thread.  NumPy releases the GIL in BLAS and large
 ufuncs, so wide chunks overlap.  A chunk's codes are a pure function of
 its inputs and the parameters, and the chunks are joined in chunk order.
-The backward walks each chunk's subgraph on the workers too, and its
-chunks take turns at the parameters they share, and Adam
-(``optimizer.adam_step`` with ``parallel``) shares the parameters
-between the workers.  So codes, gradients, checkpoints and reports do
-not depend on the worker count, bit for bit.  The spans depend only on
-the input count and the width.  Workers only read the parameters and
-the process-global ``no_grad`` flag; they never enter or leave
-``no_grad``.
+The backward walks each chunk's subgraph on the workers too: each
+chunk adds to each parameter's gradient once, in chunk order, passing
+the turn on as it adds.  Adam (``optimizer.adam_step`` with
+``parallel``) shares the parameters between the workers.  So codes,
+gradients, checkpoints and reports do not depend on the worker count,
+bit for bit.  The spans depend only on the input count and the width.
+Workers only read the parameters and the process-global ``no_grad``
+flag; they never enter or leave ``no_grad``.
 """
 from __future__ import annotations
 

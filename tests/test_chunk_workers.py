@@ -2,6 +2,7 @@
 bits at any worker count, and a failing chunk leaves no thread behind."""
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 import time
@@ -67,8 +68,9 @@ def _bounded(fn):
     return out["value"]
 
 
-def _model(d=D, batch_size=2):
-    model = Model(TrainConfig(d=d, heads=2, batch_size=batch_size, seed=1),
+def _model(d=D, batch_size=2, **cfg):
+    model = Model(TrainConfig(d=d, heads=2, batch_size=batch_size, seed=1,
+                              **cfg),
                   np.random.default_rng(0).uniform(-1, 1, (VOCAB, 300)))
     model.bind_feature_widths(8, 4)
     return model
@@ -110,7 +112,14 @@ def test_report_bytes_do_not_depend_on_the_worker_count(corpus_dir, workers):
     assert workers.pools and set(workers.pools) == {1}
 
 
-def test_training_gradients_do_not_depend_on_the_worker_count(workers):
+@pytest.mark.parametrize("ablation", [None, "no_iga", "no_ifa", "no_dtga"])
+@pytest.mark.parametrize("ifa_head, iga_head",
+                         itertools.product(("linear", "nonlinear"), repeat=2))
+def test_training_gradients_do_not_depend_on_the_worker_count(
+        workers, ifa_head, iga_head, ablation):
+    cfg = dict(ifa_head=ifa_head, iga_head=iga_head)
+    if ablation:
+        cfg[ablation] = True
     b = 40
     msv, roi = _images(1, b)
     batch = Batch(msv=msv, roi=roi, captions=_captions(2, b),
@@ -118,7 +127,7 @@ def test_training_gradients_do_not_depend_on_the_worker_count(workers):
     results = []
     for cpus in (1, 2):
         workers.set(cpus)
-        model = _model(batch_size=b)
+        model = _model(batch_size=b, **cfg)
         losses = model.batch_losses(batch)
         losses[0].backward()
         results.append(([loss.data.tobytes() for loss in losses],
@@ -284,6 +293,63 @@ def test_a_chunk_that_adds_nothing_to_a_shared_leaf_waits_for_its_turn(
     _bounded(ag.reduce_sum(joined).backward)
     assert np.array_equal(w.grad, x0.data.T @ np.ones((2, 3)))
     assert workers.pools == [1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_walk_that_ends_passes_the_turns_it_never_used(workers, cpus):
+    # chunk 1's rule skips w: its walk passes w's turn when it ends, so
+    # chunk 2 still adds
+    workers.set(cpus)
+    rng = np.random.default_rng(15)
+    w = ag.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    x0, x1, x2 = (ag.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(3))
+    roots = [ag.matmul(x, w) for x in (x0, x1, x2)]
+    roots[1]._bw = lambda g: None
+    (joined,) = ag.join_chunks(*roots, parallel=True)
+    _bounded(ag.reduce_sum(joined).backward)
+    ones = np.ones((2, 3))
+    assert np.array_equal(w.grad, x0.data.T @ ones + x2.data.T @ ones)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_chunk_that_uses_a_leaf_twice_raises(workers, cpus):
+    # chunk 0 adds to w from two rules: its second addition would wait
+    # for a turn it has passed on, so it raises instead
+    workers.set(cpus)
+    rng = np.random.default_rng(13)
+    w = ag.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    x0, x1, x2 = (ag.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(3))
+    (joined,) = ag.join_chunks(ag.add(ag.matmul(x0, w), ag.matmul(x1, w)),
+                               ag.matmul(x2, w), parallel=True)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=r"chunk 0 .* shape \(3, 3\)"):
+        _bounded(ag.reduce_sum(joined).backward)
+    assert set(threading.enumerate()) <= before
+    assert workers.pools == ([1] if cpus == 2 else [])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_join_inside_a_chunk_of_another_join_gets_its_gradients(workers,
+                                                                  cpus):
+    # the inner join's chunks are walked after the outer join's, and w
+    # gets the gradients the same graph built with concat gives it
+    workers.set(cpus)
+    grads = []
+    for join in (lambda *roots: ag.join_chunks(*roots, parallel=True)[0],
+                 ag.concat):
+        rng = np.random.default_rng(14)
+        w, v = (ag.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+                for _ in range(2))
+        x0, x1, x2 = (ag.constant(rng.uniform(-1, 1, (2, 3)))
+                      for _ in range(3))
+        inner = join(ag.matmul(x0, w), ag.matmul(x1, w))
+        outer = join(ag.matmul(inner, v), ag.matmul(x2, v))
+        _bounded(ag.reduce_sum(outer).backward)
+        grads.append((w.grad, v.grad))
+    for joined, concatenated in zip(*grads):
+        assert joined is not None
+        np.testing.assert_allclose(joined, concatenated, rtol=0, atol=1e-12)
+    assert workers.pools == ([1, 1] if cpus == 2 else [])
 
 
 def test_an_error_in_the_last_chunk_reaches_the_caller(workers):
